@@ -160,25 +160,14 @@ pub struct Digest(pub [u8; 16]);
 impl Digest {
     /// Renders the digest as 32 lowercase hex characters.
     pub fn to_hex(self) -> String {
-        let mut s = String::with_capacity(32);
-        for byte in self.0 {
-            s.push_str(&format!("{byte:02x}"));
-        }
-        s
+        simart_codec::hex::encode(&self.0)
     }
 
     /// Parses a 32-character hex string back into a digest.
     ///
     /// Returns `None` when `hex` is not exactly 32 hex characters.
     pub fn from_hex(hex: &str) -> Option<Digest> {
-        if hex.len() != 32 {
-            return None;
-        }
-        let mut out = [0u8; 16];
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = u8::from_str_radix(&hex[i * 2..i * 2 + 2], 16).ok()?;
-        }
-        Some(Digest(out))
+        simart_codec::hex::decode(hex)?.try_into().ok().map(Digest)
     }
 
     /// The raw digest bytes.
@@ -253,6 +242,8 @@ mod tests {
         assert_eq!(Digest::from_hex("xyz"), None);
         assert_eq!(Digest::from_hex(&"0".repeat(31)), None);
         assert_eq!(Digest::from_hex(&"g".repeat(32)), None);
+        // 32 bytes, but multi-byte characters straddle the digit pairs.
+        assert_eq!(Digest::from_hex("a€€€€€€€€€€0"), None);
     }
 
     #[test]

@@ -620,3 +620,27 @@ fn self_test_subcommand_passes() {
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("PASS  lint self-test"), "{stdout}");
 }
+
+/// A blob file name of the right byte length whose multi-byte
+/// characters straddle the hex digit pairs is a stray file to report,
+/// not a reason for the loader or the lint to panic.
+#[test]
+fn non_ascii_blob_file_name_is_diagnosed_without_panicking() {
+    let dir = temp_dir("non-ascii-blob");
+    Database::in_memory().save(&dir).expect("save fixture");
+    let name = "a€€€€€€€€€€0";
+    assert_eq!(name.len(), 32, "same byte length as a blob key");
+    std::fs::create_dir_all(dir.join("blobs")).expect("blob dir");
+    std::fs::write(dir.join("blobs").join(name), b"stray").expect("write stray file");
+
+    let out = run_check(&dir, &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        stdout.contains(&format!(
+            "error[SA0005] hash-mismatch: file name in blobs/ is not a blob key (blob:{name})"
+        )),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

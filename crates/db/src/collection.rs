@@ -32,12 +32,7 @@ const SHARD_COUNT: usize = 16;
 
 /// FNV-1a over the document id selects its shard.
 fn shard_of(id: &str) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in id.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % SHARD_COUNT as u64) as usize
+    (simart_codec::fnv1a(id.as_bytes()) % SHARD_COUNT as u64) as usize
 }
 
 /// How a secondary index organizes its keys.

@@ -27,7 +27,8 @@
 //!
 //! ## On-disk format
 //!
-//! `<dir>/journal.log` is a sequence of records, each framed as
+//! `<dir>/journal.log` is a sequence of records, each in the shared
+//! [`simart_codec::frame`] format
 //!
 //! ```text
 //! [len: u32 LE] [crc: u32 LE] [payload: len bytes]
@@ -49,6 +50,7 @@ use crate::error::DbError;
 use crate::json;
 use crate::value::Value;
 use parking_lot::{Mutex, RwLock};
+use simart_codec::{frame, hex, Crc32};
 use simart_observe as observe;
 use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
@@ -138,7 +140,7 @@ impl JournalOp {
             ]),
             JournalOp::BlobPut { data } => Value::map([
                 ("op", Value::from("blob")),
-                ("hex", Value::from(to_hex(data))),
+                ("hex", Value::from(hex::encode(data))),
             ]),
             JournalOp::BlobRemove { key } => Value::map([
                 ("op", Value::from("blobrm")),
@@ -188,7 +190,7 @@ impl JournalOp {
                 collection: field("c")?,
             }),
             "blob" => {
-                let data = from_hex(&field("hex")?)
+                let data = hex::decode(&field("hex")?)
                     .ok_or_else(|| "journal blob record has bad hex".to_owned())?;
                 Ok(JournalOp::BlobPut { data })
             }
@@ -282,16 +284,7 @@ pub fn read_journal_from(dir: &Path, offset: u64) -> Result<JournalReplay, DbErr
     file.read_to_end(&mut bytes)?;
     let mut ops = Vec::new();
     let mut pos = 0usize;
-    while bytes.len() - pos >= 8 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if bytes.len() - pos - 8 < len {
-            break;
-        }
-        let payload = &bytes[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            break;
-        }
+    while let frame::Decoded::Complete { payload, consumed } = frame::decode(&bytes[pos..]) {
         let Ok(text) = std::str::from_utf8(payload) else {
             break;
         };
@@ -299,7 +292,7 @@ pub fn read_journal_from(dir: &Path, offset: u64) -> Result<JournalReplay, DbErr
             break;
         };
         ops.push(op);
-        pos += 8 + len;
+        pos += consumed;
     }
     Ok(JournalReplay {
         ops,
@@ -363,7 +356,7 @@ impl JournalCursor {
 /// Propagates filesystem failures other than the file being absent.
 pub fn prefix_crc(dir: &Path, upto: u64) -> Result<Option<u32>, DbError> {
     if upto == 0 {
-        return Ok(Some(crc32(b"")));
+        return Ok(Some(Crc32::new().finish()));
     }
     let file = match fs::File::open(dir.join(JOURNAL_FILE)) {
         Ok(file) => file,
@@ -374,18 +367,16 @@ pub fn prefix_crc(dir: &Path, upto: u64) -> Result<Option<u32>, DbError> {
         return Ok(None);
     }
     let mut reader = file.take(upto);
-    let mut state = 0xFFFF_FFFFu32;
+    let mut crc = Crc32::new();
     let mut buf = [0u8; 64 * 1024];
     loop {
         let n = reader.read(&mut buf)?;
         if n == 0 {
             break;
         }
-        for &b in &buf[..n] {
-            state = CRC_TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
-        }
+        crc.update(&buf[..n]);
     }
-    Ok(Some(state ^ 0xFFFF_FFFF))
+    Ok(Some(crc.finish()))
 }
 
 /// The shared slot holding a database's journal writer. Every
@@ -479,12 +470,8 @@ impl Journal {
     /// the tear, until a checkpoint compaction rewrites the file.
     pub(crate) fn append(&self, op: &JournalOp) -> Result<(), DbError> {
         let _timer = observe::timer("db.journal_append_us");
-        let payload = op.to_payload();
-        let bytes = payload.as_bytes();
-        let mut frame = Vec::with_capacity(8 + bytes.len());
-        frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(bytes).to_le_bytes());
-        frame.extend_from_slice(bytes);
+        let mut frame = Vec::new();
+        frame::write(&mut frame, op.to_payload().as_bytes());
         let mut writer = self.writer.lock();
         if writer.poisoned {
             return Err(DbError::JournalPoisoned);
@@ -548,64 +535,9 @@ impl Journal {
     }
 }
 
-/// IEEE CRC-32 lookup table, generated at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// IEEE CRC-32 of `data` (the frame checksum).
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-fn to_hex(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len() * 2);
-    for b in data {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn from_hex(hex: &str) -> Option<Vec<u8>> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(hex.get(i..i + 2)?, 16).ok())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        // Standard check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn ops_round_trip_through_payload_encoding() {
@@ -642,16 +574,6 @@ mod tests {
             let text = op.to_payload();
             assert_eq!(JournalOp::from_payload(&text).expect("parse"), op);
         }
-    }
-
-    #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        assert_eq!(
-            from_hex(&to_hex(&[0u8, 255, 16])).unwrap(),
-            vec![0u8, 255, 16]
-        );
-        assert!(from_hex("abc").is_none());
-        assert!(from_hex("zz").is_none());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::error::DbError;
 use crate::value::Value;
+use simart_codec::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -39,7 +40,7 @@ fn write_value(out: &mut String, value: &Value) {
                 out.push_str("null");
             }
         }
-        Value::Str(s) => write_string(out, s),
+        Value::Str(s) => json::write_string(out, s),
         Value::Array(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -56,31 +57,13 @@ fn write_value(out: &mut String, value: &Value) {
                 if i > 0 {
                     out.push(',');
                 }
-                write_string(out, key);
+                json::write_string(out, key);
                 out.push(':');
                 write_value(out, item);
             }
             out.push('}');
         }
     }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses a JSON document into a [`Value`].
@@ -91,6 +74,7 @@ fn write_string(out: &mut String, s: &str) {
 /// malformed input, including trailing garbage after the top-level value.
 pub fn from_json(text: &str) -> Result<Value, DbError> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -104,6 +88,7 @@ pub fn from_json(text: &str) -> Result<Value, DbError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -205,79 +190,10 @@ impl<'a> Parser<'a> {
 
     fn parse_string(&mut self) -> Result<String, DbError> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let code = self.parse_hex4()?;
-                        // Handle surrogate pairs for completeness.
-                        let c = if (0xd800..0xdc00).contains(&code) {
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.error("unpaired surrogate"));
-                            }
-                            let low = self.parse_hex4()?;
-                            if !(0xdc00..0xe000).contains(&low) {
-                                return Err(self.error("invalid low surrogate"));
-                            }
-                            let combined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                            char::from_u32(combined)
-                        } else {
-                            char::from_u32(code)
-                        };
-                        out.push(c.ok_or_else(|| self.error("invalid unicode escape"))?);
-                    }
-                    _ => return Err(self.error("invalid escape sequence")),
-                },
-                Some(byte) if byte < 0x20 => return Err(self.error("control character in string")),
-                Some(byte) => {
-                    // Re-assemble multi-byte UTF-8 from the input slice.
-                    if byte < 0x80 {
-                        out.push(byte as char);
-                    } else {
-                        let width = match byte {
-                            0xc0..=0xdf => 2,
-                            0xe0..=0xef => 3,
-                            0xf0..=0xf7 => 4,
-                            _ => return Err(self.error("invalid UTF-8")),
-                        };
-                        let start = self.pos - 1;
-                        let end = start + width;
-                        if end > self.bytes.len() {
-                            return Err(self.error("truncated UTF-8"));
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.error("invalid UTF-8"))?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, DbError> {
-        let mut code = 0u32;
-        for _ in 0..4 {
-            let b = self
-                .bump()
-                .ok_or_else(|| self.error("truncated \\u escape"))?;
-            let digit = (b as char)
-                .to_digit(16)
-                .ok_or_else(|| self.error("invalid hex digit"))?;
-            code = code * 16 + digit;
-        }
-        Ok(code)
+        json::read_string(self.text, &mut self.pos).map_err(|e| DbError::Parse {
+            offset: e.offset,
+            message: e.message.to_owned(),
+        })
     }
 
     fn parse_array(&mut self) -> Result<Value, DbError> {

@@ -1,14 +1,11 @@
-//! Full-system hot-path performance: the three compounding
+//! Full-system hot-path performance: the two compounding
 //! optimizations PERFORMANCE.md tracks, measured on the same machine
 //! in one run.
 //!
 //! 1. **Decode cache** — fetching a decoded basic block from the
 //!    [`DecodeCache`] versus re-decoding it from code memory on every
 //!    visit (the pre-cache interpreter behaviour).
-//! 2. **Calendar event queue** — per-operation cost of the
-//!    [`EventQueue`] timing wheel as the number of pending events
-//!    grows, against the O(log n) [`HeapEventQueue`] it replaced.
-//! 3. **Boot checkpoints** — restoring a boot prefix from the
+//! 2. **Boot checkpoints** — restoring a boot prefix from the
 //!    content-addressed [`CheckpointStore`] versus re-simulating the
 //!    boot cold.
 //!
@@ -17,16 +14,14 @@
 //! - `cargo bench -p simart-fullsim --bench hotpath` — print the
 //!   timing tables.
 //! - `... --bench hotpath -- --test` — additionally assert the
-//!   performance claims (cache ≥5× re-decode, wheel flat as the event
-//!   population grows, restore ≥10× cold boot), exiting nonzero on
-//!   regression. CI runs this mode.
+//!   performance claims (cache ≥5× re-decode, restore ≥10× cold
+//!   boot), exiting nonzero on regression. CI runs this mode.
 //! - `... --bench hotpath -- --json PATH` — also write the measured
 //!   numbers as JSON (the tracked `BENCH_fullsim.json` at the repo
 //!   root is generated this way).
 
 use simart_fullsim::checkpoint::CheckpointStore;
 use simart_fullsim::cpu::CpuKind;
-use simart_fullsim::event::{EventQueue, HeapEventQueue};
 use simart_fullsim::isa::decode::{decode_block, DecodeCache};
 use simart_fullsim::isa::InstMix;
 use simart_fullsim::mem::code::CodeMemory;
@@ -42,12 +37,6 @@ const PROGRAM_WORDS: usize = 1024;
 
 /// Timed passes over the program's block entries per repetition.
 const DECODE_PASSES: usize = 200;
-
-/// Pending-event populations for the queue scaling table.
-const QUEUE_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
-
-/// Scheduled/popped operations timed per queue measurement.
-const QUEUE_OPS: usize = 200_000;
 
 fn best_of(mut f: impl FnMut() -> Duration) -> Duration {
     (0..REPEATS).map(|_| f()).min().expect("REPEATS > 0")
@@ -110,53 +99,10 @@ fn measure_decode() -> (Duration, Duration, f64) {
     (cached, decoded, speedup)
 }
 
-/// Deterministic xorshift64* so both queues see the same schedule.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
-/// Per-operation cost of a hold-model workload at a steady population
-/// of `size` pending events: pop the next event, schedule a
-/// replacement at a random future offset — the access pattern of a
-/// simulator core loop.
-fn measure_queue_ns(size: usize, use_calendar: bool) -> f64 {
-    let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ size as u64);
-    let mut calendar = EventQueue::new();
-    let mut heap = HeapEventQueue::new();
-    for i in 0..size {
-        let when = rng.next() % 1_000_000;
-        if use_calendar {
-            calendar.schedule(when, i as u64);
-        } else {
-            heap.schedule(when, i as u64);
-        }
-    }
-    let best = best_of(|| {
-        let start = Instant::now();
-        for _ in 0..QUEUE_OPS {
-            if use_calendar {
-                let ev = calendar.pop().expect("population stays constant");
-                calendar.schedule_after(rng.next() % 1_000_000, black_box(ev.payload));
-            } else {
-                let ev = heap.pop().expect("population stays constant");
-                heap.schedule_after(rng.next() % 1_000_000, black_box(ev.payload));
-            }
-        }
-        start.elapsed()
-    });
-    // One pop + one schedule per loop iteration.
-    best.as_secs_f64() * 1e9 / (QUEUE_OPS as f64 * 2.0)
-}
-
-/// (cold boot, checkpoint restore, instructions/sec) for the default
-/// campaign configuration.
+/// (cold boot, checkpoint restore, modelled instructions/sec) for the
+/// default campaign configuration. The instruction count comes from
+/// the statistical boot model, not from interpreted instructions, so
+/// the rate is a model figure, not simulator throughput.
 fn measure_checkpoint() -> (Duration, Duration, f64) {
     let config = SystemConfig::builder()
         .cpu(CpuKind::AtomicSimple)
@@ -172,7 +118,7 @@ fn measure_checkpoint() -> (Duration, Duration, f64) {
         instructions = black_box(output).instructions;
         start.elapsed()
     });
-    let ips = instructions as f64 / cold.as_secs_f64().max(1e-12);
+    let model_ips = instructions as f64 / cold.as_secs_f64().max(1e-12);
 
     let dir = std::env::temp_dir().join(format!("simart-bench-hotpath-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -188,7 +134,7 @@ fn measure_checkpoint() -> (Duration, Duration, f64) {
         start.elapsed()
     });
     let _ = std::fs::remove_dir_all(&dir);
-    (cold, restore, ips)
+    (cold, restore, model_ips)
 }
 
 fn main() {
@@ -210,63 +156,34 @@ fn main() {
         decoded.as_secs_f64() * 1e9,
     );
 
-    println!("\nevent queue: per-op cost (pop + schedule) at steady population");
-    println!(
-        "{:>10}  {:>14}  {:>12}  {:>7}",
-        "pending", "calendar", "heap", "ratio"
-    );
-    let mut calendar_ns = Vec::new();
-    let mut heap_ns = Vec::new();
-    for &size in &QUEUE_SIZES {
-        let cal = measure_queue_ns(size, true);
-        let heap = measure_queue_ns(size, false);
-        println!(
-            "{size:>10}  {cal:>12.1}ns  {heap:>10.1}ns  {:>6.2}x",
-            heap / cal.max(1e-12)
-        );
-        calendar_ns.push(cal);
-        heap_ns.push(heap);
-    }
-
-    let (cold, restore, ips) = measure_checkpoint();
+    let (cold, restore, model_ips) = measure_checkpoint();
     println!("\ncheckpoint: cold boot vs restore (standard fidelity, 2 cores)");
     println!(
         "{:>14}  {:>14}  {:>8}  {:>16}",
-        "cold boot", "restore", "speedup", "cold boot speed"
+        "cold boot", "restore", "speedup", "boot model rate"
     );
     println!(
         "{:>12.2}ms  {:>12.3}ms  {:>7.0}x  {:>11.0} inst/s",
         cold.as_secs_f64() * 1e3,
         restore.as_secs_f64() * 1e3,
         cold.as_secs_f64() / restore.as_secs_f64().max(1e-12),
-        ips,
+        model_ips,
     );
 
     if let Some(path) = json_path {
-        let sizes: Vec<String> = QUEUE_SIZES
-            .iter()
-            .zip(calendar_ns.iter().zip(&heap_ns))
-            .map(|(size, (cal, heap))| {
-                format!(
-                    "    {{\"pending\": {size}, \"calendarNsPerOp\": {cal:.1}, \
-                     \"heapNsPerOp\": {heap:.1}}}"
-                )
-            })
-            .collect();
         let json = format!(
-            "{{\n  \"bench\": \"hotpath\",\n  \"schema\": 1,\n  \"decode\": {{\n    \
+            "{{\n  \"bench\": \"hotpath\",\n  \"schema\": 2,\n  \"decode\": {{\n    \
              \"cachedNsPerInst\": {:.1},\n    \"redecodeNsPerInst\": {:.1},\n    \
-             \"speedup\": {:.1}\n  }},\n  \"eventQueue\": [\n{}\n  ],\n  \
+             \"speedup\": {:.1}\n  }},\n  \
              \"checkpoint\": {{\n    \"coldBootMs\": {:.2},\n    \"restoreMs\": {:.3},\n    \
-             \"speedup\": {:.0},\n    \"coldBootInstPerSec\": {:.0}\n  }}\n}}\n",
+             \"speedup\": {:.0},\n    \"coldBootModelInstPerSec\": {:.0}\n  }}\n}}\n",
             cached.as_secs_f64() * 1e9,
             decoded.as_secs_f64() * 1e9,
             decode_speedup,
-            sizes.join(",\n"),
             cold.as_secs_f64() * 1e3,
             restore.as_secs_f64() * 1e3,
             cold.as_secs_f64() / restore.as_secs_f64().max(1e-12),
-            ips,
+            model_ips,
         );
         std::fs::write(path, json).expect("write bench json");
         println!("\nwrote {path}");
@@ -280,19 +197,7 @@ fn main() {
             "cached fetch should be ≥5x faster than re-decode, got {decode_speedup:.1}x \
              (cached {cached:?}, re-decode {decoded:?})"
         );
-        // 2. Calendar per-op cost must stay flat as the pending-event
-        //    population grows 100x (generous band for CI noise); the
-        //    heap's cost is allowed — expected, even — to grow.
-        assert!(
-            calendar_ns[2] < calendar_ns[0] * 3.0 + 100.0,
-            "calendar queue per-op cost must stay flat: {:.1}ns at {} pending, \
-             {:.1}ns at {} pending",
-            calendar_ns[0],
-            QUEUE_SIZES[0],
-            calendar_ns[2],
-            QUEUE_SIZES[2],
-        );
-        // 3. Restoring a boot checkpoint must beat re-simulating the
+        // 2. Restoring a boot checkpoint must beat re-simulating the
         //    boot by an order of magnitude — the "boot once, restore
         //    many" economics.
         assert!(

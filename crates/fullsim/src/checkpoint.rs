@@ -10,12 +10,12 @@
 //! version) — so a restored checkpoint can never silently stand in for
 //! a different experiment.
 //!
-//! The on-disk format reuses the journal-style CRC framing of
-//! `simart-db` (DESIGN.md §4.8): a magic header followed by
-//! `[len u32 LE][crc32 u32 LE][payload]` frames, each independently
-//! checksummed. Unlike a journal, a checkpoint is all-or-nothing: any
-//! torn or corrupt frame fails the load (and the campaign executor
-//! falls back to a cold boot, re-saving a fresh checkpoint).
+//! The on-disk format is a magic header followed by
+//! `[len u32 LE][crc32 u32 LE][payload]` frames (the shared
+//! [`simart_codec::frame`] format), each independently checksummed.
+//! Unlike a journal, a checkpoint is all-or-nothing: any torn or
+//! corrupt frame fails the load (and the campaign executor falls back
+//! to a cold boot, re-saving a fresh checkpoint).
 //!
 //! Scalar statistics round-trip through the exact bit pattern of their
 //! `f64` (not a decimal rendering), which is what makes a restored run
@@ -23,9 +23,9 @@
 //! `restored_workload_is_bit_identical_to_cold_boot` in
 //! `tests/checkpoint_roundtrip.rs`.
 
-use crate::rng::fnv1a;
 use crate::stats::{StatValue, Stats};
 use crate::system::{Checkpoint, SimOutput, SystemConfig};
+use simart_codec::{fnv1a, frame};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
@@ -268,61 +268,18 @@ impl CheckpointStore {
     }
 }
 
-/// IEEE CRC-32, bitwise-identical to the journal framing in
-/// `simart-db` (kept local: the simulator does not depend on the
-/// database crate).
-fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 == 1 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    };
-    let mut state = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        state = TABLE[((state ^ u32::from(b)) & 0xFF) as usize] ^ (state >> 8);
-    }
-    state ^ 0xFFFF_FFFF
-}
-
-/// Appends one `[len][crc][payload]` frame.
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Reads the frame at `*pos`, advancing it.
+/// Reads the frame at `*pos`, advancing it. Unlike a journal, a
+/// checkpoint has no tolerable torn tail: any short or corrupt frame
+/// fails the whole load.
 fn read_frame<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], CheckpointError> {
-    let header_end = *pos + 8;
-    if header_end > bytes.len() {
-        return Err(CheckpointError::Corrupt("torn frame header".to_owned()));
+    match frame::decode(&bytes[*pos..]) {
+        frame::Decoded::Complete { payload, consumed } => {
+            *pos += consumed;
+            Ok(payload)
+        }
+        frame::Decoded::Incomplete => Err(bad("torn frame")),
+        frame::Decoded::BadCrc { .. } => Err(bad("frame CRC mismatch")),
     }
-    let len = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[*pos + 4..header_end].try_into().expect("4 bytes"));
-    let payload_end = header_end + len;
-    if payload_end > bytes.len() {
-        return Err(CheckpointError::Corrupt("torn frame payload".to_owned()));
-    }
-    let payload = &bytes[header_end..payload_end];
-    if crc32(payload) != crc {
-        return Err(CheckpointError::Corrupt("frame CRC mismatch".to_owned()));
-    }
-    *pos = payload_end;
-    Ok(payload)
 }
 
 /// Renders the checkpoint as magic + header frame + boot frame +
@@ -331,7 +288,7 @@ fn serialize(key: &str, checkpoint: &Checkpoint) -> Vec<u8> {
     let boot = checkpoint.boot();
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    push_frame(
+    frame::write(
         &mut out,
         format!(
             "version {FORMAT_VERSION}\nkey {key}\nlabel {}\n",
@@ -342,7 +299,7 @@ fn serialize(key: &str, checkpoint: &Checkpoint) -> Vec<u8> {
     // host_seconds (and scalar stats below) serialize as the exact f64
     // bit pattern: decimal formatting would round and break the
     // bit-identical-restore guarantee.
-    push_frame(
+    frame::write(
         &mut out,
         format!(
             "sim_ticks {}\ninstructions {}\nhost_seconds {:016x}\n",
@@ -361,7 +318,7 @@ fn serialize(key: &str, checkpoint: &Checkpoint) -> Vec<u8> {
             }
         }
     }
-    push_frame(&mut out, stats_text.as_bytes());
+    frame::write(&mut out, stats_text.as_bytes());
     out
 }
 

@@ -21,8 +21,8 @@
 use crate::cpu::CpuKind;
 use crate::kernel::{BootKind, BootStage, KernelVersion};
 use crate::mem::MemKind;
-use crate::rng::fnv1a;
 use serde::{Deserialize, Serialize};
+use simart_codec::fnv1a;
 use std::fmt;
 
 /// The outcome classes of a full-system boot attempt.

@@ -61,7 +61,7 @@ impl CpuModel for TimingSimpleCpu {
             if inst.op == OpClass::Branch && inst.taken {
                 // Deterministic pseudo-random mispredict from the
                 // instruction index (streams carry no predictor state).
-                let hash = crate::rng::fnv1a(&(self.committed + i).to_le_bytes());
+                let hash = simart_codec::fnv1a(&(self.committed + i).to_le_bytes());
                 if (hash % 10_000) as f64 / 10_000.0 < MISPREDICT_RATE {
                     cycles += MISPREDICT_PENALTY;
                     self.branch_mispredicts += 1;

@@ -2,7 +2,7 @@
 //! cache capacity, coherence safety, and statistics.
 
 use proptest::prelude::*;
-use simart_fullsim::event::{EventQueue, HeapEventQueue};
+use simart_fullsim::event::EventQueue;
 use simart_fullsim::isa::decode::{decode, encode, StaticInst};
 use simart_fullsim::isa::OpClass;
 use simart_fullsim::mem::cache::{SetAssocCache, LINE_BYTES};
@@ -27,46 +27,6 @@ proptest! {
         }
         popped.sort_unstable();
         prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
-    }
-
-    /// The calendar queue and the reference heap queue produce
-    /// *identical* event traces under arbitrary interleaved
-    /// schedule/pop traffic — time, priority and payload all match at
-    /// every step. This is the determinism proof for the timing-wheel
-    /// replacement: same tie-break order, not just same multiset.
-    #[test]
-    fn calendar_queue_trace_equals_heap_queue_trace(
-        ops in proptest::collection::vec(
-            // (pop?, delta from now, priority)
-            (any::<bool>(), 0u64..5_000_000_000_000, -2i32..3),
-            1..300,
-        ),
-    ) {
-        let mut cal = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        for (i, (pop, delta, priority)) in ops.into_iter().enumerate() {
-            if pop && !cal.is_empty() {
-                let a = cal.pop().map(|e| (e.when, e.priority, e.payload));
-                let b = heap.pop().map(|e| (e.when, e.priority, e.payload));
-                prop_assert_eq!(a, b);
-                prop_assert_eq!(cal.now(), heap.now());
-            } else {
-                let when = cal.now() + delta;
-                cal.schedule_with_priority(when, priority, i);
-                heap.schedule_with_priority(when, priority, i);
-            }
-            prop_assert_eq!(cal.len(), heap.len());
-            prop_assert_eq!(cal.peek_when(), heap.peek_when());
-        }
-        loop {
-            let a = cal.pop().map(|e| (e.when, e.priority, e.payload));
-            let b = heap.pop().map(|e| (e.when, e.priority, e.payload));
-            prop_assert_eq!(a, b);
-            if b.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(cal.processed(), heap.processed());
     }
 
     /// Every encodable instruction round-trips through the 32-bit

@@ -53,13 +53,13 @@
 //! # let _ = (trace, snapshot);
 //! ```
 //!
-//! This crate deliberately depends on nothing (std only): it sits at
-//! the very bottom of the simart stack so every crate can instrument
-//! itself without dependency cycles.
+//! This crate deliberately depends on nothing but std and the
+//! dependency-free `simart-codec` (for JSON string literals): it sits
+//! at the very bottom of the simart stack so every crate can
+//! instrument itself without dependency cycles.
 
 #![deny(missing_docs)]
 
-mod json;
 pub mod metrics;
 pub mod span;
 

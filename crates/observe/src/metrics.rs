@@ -17,7 +17,6 @@
 //! metrics work in every build; the recording half follows the crate's
 //! `enabled`-feature contract (see the crate docs).
 
-use crate::json::escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -170,14 +169,15 @@ impl Snapshot {
     /// object per metric, sorted by name.
     pub fn render_json(&self) -> String {
         let mut parts = Vec::with_capacity(self.metrics.len());
-        for (name, value) in &self.metrics {
-            let name = escape(name);
+        for (key, value) in &self.metrics {
+            let mut name = String::new();
+            simart_codec::json::write_string(&mut name, key);
             parts.push(match value {
                 MetricValue::Counter(v) => {
-                    format!("{{\"name\":\"{name}\",\"kind\":\"counter\",\"value\":{v}}}")
+                    format!("{{\"name\":{name},\"kind\":\"counter\",\"value\":{v}}}")
                 }
                 MetricValue::Gauge(v) => {
-                    format!("{{\"name\":\"{name}\",\"kind\":\"gauge\",\"value\":{v}}}")
+                    format!("{{\"name\":{name},\"kind\":\"gauge\",\"value\":{v}}}")
                 }
                 MetricValue::Histogram(h) => {
                     let buckets = h
@@ -187,7 +187,7 @@ impl Snapshot {
                         .collect::<Vec<_>>()
                         .join(",");
                     format!(
-                        "{{\"name\":\"{name}\",\"kind\":\"histogram\",\"count\":{},\
+                        "{{\"name\":{name},\"kind\":\"histogram\",\"count\":{},\
                          \"sum_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\
                          \"buckets\":[{buckets}]}}",
                         h.count,

@@ -17,7 +17,7 @@
 //! never pays for formatting: outside a capture window (or without the
 //! `enabled` feature) the closure is not invoked.
 
-use crate::json::escape;
+use simart_codec::json;
 use std::fmt::Write as _;
 
 /// One completed span: a named interval on one thread.
@@ -72,25 +72,26 @@ impl Trace {
     pub fn to_chrome_json(&self) -> String {
         let mut entries = Vec::with_capacity(self.spans.len() + self.events.len());
         for span in &self.spans {
-            entries.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"simart\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+            let mut entry = String::from("{\"name\":");
+            json::write_string(&mut entry, &span.name);
+            let _ = write!(
+                entry,
+                ",\"cat\":\"simart\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
                  \"pid\":1,\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}}}}}",
-                escape(&span.name),
-                span.start_us,
-                span.dur_us,
-                span.thread,
-                span.id,
-                span.parent,
-            ));
+                span.start_us, span.dur_us, span.thread, span.id, span.parent,
+            );
+            entries.push(entry);
         }
         for event in &self.events {
-            entries.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"simart\",\"ph\":\"i\",\"ts\":{},\
+            let mut entry = String::from("{\"name\":");
+            json::write_string(&mut entry, &event.name);
+            let _ = write!(
+                entry,
+                ",\"cat\":\"simart\",\"ph\":\"i\",\"ts\":{},\
                  \"pid\":1,\"tid\":{},\"s\":\"t\"}}",
-                escape(&event.name),
-                event.ts_us,
-                event.thread,
-            ));
+                event.ts_us, event.thread,
+            );
+            entries.push(entry);
         }
         let mut out = String::from("{\"traceEvents\":[\n");
         out.push_str(&entries.join(",\n"));
@@ -103,25 +104,22 @@ impl Trace {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for span in &self.spans {
+            out.push_str("{\"type\":\"span\",\"name\":");
+            json::write_string(&mut out, &span.name);
             let _ = writeln!(
                 out,
-                "{{\"type\":\"span\",\"name\":\"{}\",\"id\":{},\"parent\":{},\
+                ",\"id\":{},\"parent\":{},\
                  \"thread\":{},\"start_us\":{},\"dur_us\":{}}}",
-                escape(&span.name),
-                span.id,
-                span.parent,
-                span.thread,
-                span.start_us,
-                span.dur_us,
+                span.id, span.parent, span.thread, span.start_us, span.dur_us,
             );
         }
         for event in &self.events {
+            out.push_str("{\"type\":\"event\",\"name\":");
+            json::write_string(&mut out, &event.name);
             let _ = writeln!(
                 out,
-                "{{\"type\":\"event\",\"name\":\"{}\",\"thread\":{},\"ts_us\":{}}}",
-                escape(&event.name),
-                event.thread,
-                event.ts_us,
+                ",\"thread\":{},\"ts_us\":{}}}",
+                event.thread, event.ts_us,
             );
         }
         out

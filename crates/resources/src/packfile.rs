@@ -7,8 +7,8 @@
 //! template always builds a byte-identical [`DiskImageSpec`], whose
 //! fingerprint doubles as the disk-image artifact's content.
 
+use simart_codec::fnv1a;
 use simart_fullsim::os::OsImage;
-use simart_fullsim::rng::fnv1a;
 use std::fmt;
 
 /// A provisioning step in a template.

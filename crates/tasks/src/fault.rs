@@ -233,7 +233,7 @@ impl FaultInjector {
     /// inputs on equal seeds give equal answers, and calling it does
     /// not count as an injection.
     pub fn fault_for(&self, task: &str, attempt: u32) -> Option<Fault> {
-        let stream = self.seed ^ fnv1a(task.as_bytes());
+        let stream = self.seed ^ simart_codec::fnv1a(task.as_bytes());
         let category = unit_draw(stream, u64::from(attempt) << 1);
         let panic_edge = self.panic_rate;
         let error_edge = panic_edge + self.error_rate;
@@ -287,7 +287,7 @@ impl FaultInjector {
     /// faults fire. Only ever returns [`Fault::WorkerStall`] or
     /// [`Fault::WorkerKill`].
     pub fn worker_fault_for(&self, task: &str, delivery: u32) -> Option<Fault> {
-        let stream = self.seed ^ fnv1a(task.as_bytes()) ^ WORKER_STREAM_SALT;
+        let stream = self.seed ^ simart_codec::fnv1a(task.as_bytes()) ^ WORKER_STREAM_SALT;
         let category = unit_draw(stream, u64::from(delivery) << 1);
         let stall_edge = self.stall_rate;
         let kill_edge = stall_edge + self.kill_rate;
@@ -487,25 +487,10 @@ fn mix(value: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over the task name, mixing it into the per-task stream.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// Deterministic draw in [0, 1): SplitMix64 finalizer over
-/// `(stream, counter)`.
-fn unit_draw(stream: u64, counter: u64) -> f64 {
-    let mut z = stream ^ counter.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+/// Deterministic draw in [0, 1): the [`mix`] finalizer over a
+/// golden-ratio-stepped `counter` within `stream`.
+pub(crate) fn unit_draw(stream: u64, counter: u64) -> f64 {
+    (mix(stream ^ counter.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -197,7 +197,8 @@ impl RetryPolicy {
                 }
             };
             let mut delay = if self.jitter > 0.0 {
-                let stretch = 1.0 + self.jitter * unit_draw(self.seed, attempt);
+                let stretch =
+                    1.0 + self.jitter * crate::fault::unit_draw(self.seed, u64::from(attempt));
                 Duration::from_secs_f64(raw.as_secs_f64() * stretch)
             } else {
                 raw
@@ -231,17 +232,6 @@ impl fmt::Display for RetryPolicy {
             }
         }
     }
-}
-
-/// Deterministic draw in [0, 1) from `(seed, attempt)` — the SplitMix64
-/// finalizer over a golden-ratio-stepped counter.
-fn unit_draw(seed: u64, attempt: u32) -> f64 {
-    let mut z = seed ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

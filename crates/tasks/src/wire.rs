@@ -1,9 +1,9 @@
 //! The coordinator ↔ worker wire protocol for the remote scheduler.
 //!
 //! Messages travel over local pipes as length-prefixed, CRC-framed
-//! JSON — byte-for-byte the record format of the database journal
-//! (`simart-db::journal`), reused here because its torn-tail discipline
-//! is exactly what a crash-prone byte stream needs:
+//! JSON — the [`simart_codec::frame`] record format the database
+//! journal also uses, because its torn-tail discipline is exactly what
+//! a crash-prone byte stream needs:
 //!
 //! ```text
 //! +----------------+----------------+====================+
@@ -23,10 +23,12 @@
 //! valid frame decodes to "incomplete", not garbage (see the fuzz
 //! test below).
 //!
-//! The JSON codec is deliberately tiny and self-contained (flat
-//! objects of strings, unsigned integers, and booleans) so the task
-//! crate stays free of database-layer dependencies.
+//! Payloads are flat objects of strings, unsigned integers, and
+//! booleans. Strings use the shared [`simart_codec::json`] literal;
+//! numbers parse straight to `u64`, because session tokens may exceed
+//! `i64::MAX`.
 
+use simart_codec::{frame, json};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -78,29 +80,6 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// IEEE CRC-32 (the journal's checksum), computed bitwise — the frame
-/// rate is a handful of messages per task, so table-free is plenty.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// Wraps a payload in a `[len][crc][payload]` frame.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
-}
-
 /// Incremental frame decoder over a byte stream.
 ///
 /// Feed arbitrary chunks with [`FrameDecoder::feed`]; pull complete
@@ -138,29 +117,21 @@ impl FrameDecoder {
     /// only a frame prefix, or an error on corruption. After an error
     /// the stream is unusable — the caller should drop the connection.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 8 {
-            return Ok(None);
-        }
-        let header = &self.buf[self.pos..];
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 header bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 header bytes"));
-        if len > MAX_FRAME_LEN {
+        let bytes = &self.buf[self.pos..];
+        if let Some(len) = frame::declared_len(bytes).filter(|&len| len > MAX_FRAME_LEN) {
             return Err(WireError::BadLength(len as u64));
         }
-        if avail - 8 < len {
-            return Ok(None);
+        match frame::decode(bytes) {
+            frame::Decoded::Incomplete => Ok(None),
+            frame::Decoded::BadCrc { expected, actual } => {
+                Err(WireError::BadCrc { expected, actual })
+            }
+            frame::Decoded::Complete { payload, consumed } => {
+                let payload = payload.to_vec();
+                self.pos += consumed;
+                Ok(Some(payload))
+            }
         }
-        let payload = self.buf[self.pos + 8..self.pos + 8 + len].to_vec();
-        let actual = crc32(&payload);
-        if actual != crc {
-            return Err(WireError::BadCrc {
-                expected: crc,
-                actual,
-            });
-        }
-        self.pos += 8 + len;
-        Ok(Some(payload))
     }
 }
 
@@ -257,10 +228,10 @@ impl Message {
                 out.push(',');
             }
             first = false;
-            push_json_string(out, key);
+            json::write_string(out, key);
             out.push(':');
             match value {
-                JsonValue::Str(s) => push_json_string(out, s),
+                JsonValue::Str(s) => json::write_string(out, s),
                 JsonValue::Num(n) => out.push_str(&n.to_string()),
                 JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             }
@@ -275,7 +246,9 @@ impl Message {
 
     /// The message framed and ready to write to a pipe.
     pub fn to_frame(&self) -> Vec<u8> {
-        encode_frame(&self.encode())
+        let mut frame = Vec::new();
+        frame::write(&mut frame, &self.encode());
+        frame
     }
 
     fn fields(&self) -> Vec<(&'static str, JsonValue)> {
@@ -442,62 +415,41 @@ enum JsonValue {
     Bool(bool),
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Parses one flat JSON object (`{"k": "v", "n": 1, "b": true}`) —
 /// the only shape protocol payloads take. Nested containers are
 /// rejected as malformed.
 fn parse_flat_object(text: &str) -> Result<HashMap<String, JsonValue>, WireError> {
     let malformed = |why: &str| WireError::Malformed(why.to_owned());
-    let mut chars = text.chars().peekable();
+    let mut pos = 0;
     let mut fields = HashMap::new();
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
+    skip_ws(text, &mut pos);
+    if !eat(text, &mut pos, '{') {
         return Err(malformed("expected `{`"));
     }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
+    skip_ws(text, &mut pos);
+    if eat(text, &mut pos, '}') {
         return Ok(fields);
     }
     loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
+        skip_ws(text, &mut pos);
+        let key = quoted(text, &mut pos)?;
+        skip_ws(text, &mut pos);
+        if !eat(text, &mut pos, ':') {
             return Err(malformed("expected `:` after key"));
         }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Str(parse_string(&mut chars)?),
+        skip_ws(text, &mut pos);
+        let value = match text[pos..].chars().next() {
+            Some('"') => JsonValue::Str(quoted(text, &mut pos)?),
             Some('t') | Some('f') => {
-                let word: String =
-                    std::iter::from_fn(|| chars.next_if(|c| c.is_ascii_alphabetic())).collect();
-                match word.as_str() {
+                let word = take_while(text, &mut pos, |c| c.is_ascii_alphabetic());
+                match word {
                     "true" => JsonValue::Bool(true),
                     "false" => JsonValue::Bool(false),
                     _ => return Err(malformed("expected `true` or `false`")),
                 }
             }
             Some(c) if c.is_ascii_digit() => {
-                let digits: String =
-                    std::iter::from_fn(|| chars.next_if(char::is_ascii_digit)).collect();
+                let digits = take_while(text, &mut pos, |c| c.is_ascii_digit());
                 JsonValue::Num(
                     digits
                         .parse()
@@ -507,82 +459,45 @@ fn parse_flat_object(text: &str) -> Result<HashMap<String, JsonValue>, WireError
             _ => return Err(malformed("unsupported value (flat objects only)")),
         };
         fields.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            _ => return Err(malformed("expected `,` or `}`")),
+        skip_ws(text, &mut pos);
+        if eat(text, &mut pos, ',') {
+            continue;
         }
+        if eat(text, &mut pos, '}') {
+            break;
+        }
+        return Err(malformed("expected `,` or `}`"));
     }
     Ok(fields)
 }
 
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.next_if(|c| c.is_whitespace()).is_some() {}
+/// Consumes `want` if it is the next character.
+fn eat(text: &str, pos: &mut usize, want: char) -> bool {
+    let found = text[*pos..].starts_with(want);
+    if found {
+        *pos += want.len_utf8();
+    }
+    found
 }
 
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, WireError> {
-    let malformed = |why: &str| WireError::Malformed(why.to_owned());
-    if chars.next() != Some('"') {
-        return Err(malformed("expected string"));
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err(malformed("unterminated string")),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('/') => out.push('/'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('b') => out.push('\u{8}'),
-                Some('f') => out.push('\u{c}'),
-                Some('u') => {
-                    let code = parse_hex4(chars)?;
-                    // Combine a surrogate pair when one follows;
-                    // otherwise fall back to the replacement char.
-                    let ch = if (0xD800..0xDC00).contains(&code) {
-                        let low = if chars.peek() == Some(&'\\') {
-                            chars.next();
-                            if chars.next() == Some('u') {
-                                parse_hex4(chars)?
-                            } else {
-                                0
-                            }
-                        } else {
-                            0
-                        };
-                        if (0xDC00..0xE000).contains(&low) {
-                            let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(combined).unwrap_or('\u{FFFD}')
-                        } else {
-                            '\u{FFFD}'
-                        }
-                    } else {
-                        char::from_u32(code).unwrap_or('\u{FFFD}')
-                    };
-                    out.push(ch);
-                }
-                _ => return Err(malformed("unknown escape")),
-            },
-            Some(c) => out.push(c),
-        }
-    }
+/// Consumes and returns the longest run of characters matching `keep`.
+fn take_while<'a>(text: &'a str, pos: &mut usize, keep: impl Fn(char) -> bool) -> &'a str {
+    let rest = &text[*pos..];
+    let len = rest.find(|c| !keep(c)).unwrap_or(rest.len());
+    *pos += len;
+    &rest[..len]
 }
 
-fn parse_hex4(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<u32, WireError> {
-    let mut code = 0u32;
-    for _ in 0..4 {
-        let digit = chars
-            .next()
-            .and_then(|c| c.to_digit(16))
-            .ok_or_else(|| WireError::Malformed("bad \\u escape".to_owned()))?;
-        code = code * 16 + digit;
+fn skip_ws(text: &str, pos: &mut usize) {
+    take_while(text, pos, char::is_whitespace);
+}
+
+/// Reads the quoted string literal at `*pos`.
+fn quoted(text: &str, pos: &mut usize) -> Result<String, WireError> {
+    if !eat(text, pos, '"') {
+        return Err(WireError::Malformed("expected string".to_owned()));
     }
-    Ok(code)
+    json::read_string(text, pos).map_err(|e| WireError::Malformed(e.message.to_owned()))
 }
 
 #[cfg(test)]
@@ -622,13 +537,6 @@ mod tests {
             Message::Drain,
             Message::Bye { pid: 4242 },
         ]
-    }
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        // Same vectors the journal's implementation is pinned to.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
