@@ -7,6 +7,7 @@
 //! 3. an executor runs them (⑤) and results are stored back (⑥/⑦);
 //! 4. the database can be queried at any time (⑧).
 
+use crate::remote::decode_outcome;
 use parking_lot::Mutex;
 use simart_artifact::{
     Artifact, ArtifactBuilder, ArtifactError, ArtifactId, ArtifactRegistry, Uuid,
@@ -391,18 +392,7 @@ impl Experiment {
                 };
                 let (disposition, result) = match result {
                     Ok(outcome) => {
-                        // Executor-provided provenance (e.g. the
-                        // checkpoint save/restore trail) is journaled
-                        // before the results land.
-                        for event in &outcome.events {
-                            let _ = store.log_event(run.id(), event);
-                        }
-                        let _ = store.attach_results(
-                            run.id(),
-                            outcome.sim_ticks,
-                            &outcome.outcome,
-                            &outcome.payload,
-                        );
+                        archive_outcome(&store, run.id(), &outcome);
                         if outcome.success {
                             ("succeeded", Ok(outcome.outcome))
                         } else {
@@ -431,32 +421,7 @@ impl Experiment {
             handles.push((run_id, scheduler.submit(task)));
         }
         for (run_id, handle) in handles {
-            let report: TaskReport = handle.wait();
-            match report.state {
-                TaskState::Succeeded => {
-                    summary.done += 1;
-                    let _ = self.runs.transition(run_id, RunStatus::Done);
-                }
-                TaskState::Failed => {
-                    summary.failed += 1;
-                    let _ = self.runs.transition(run_id, RunStatus::Failed);
-                }
-                TaskState::TimedOut => {
-                    summary.timed_out += 1;
-                    // The attempt never returned, so record it here
-                    // before sealing the terminal status.
-                    let _ = self.runs.record_attempt(
-                        run_id,
-                        "timed-out",
-                        options.retry_policy.delay_before(report.attempts),
-                    );
-                    let _ = self.runs.transition(run_id, RunStatus::TimedOut);
-                }
-                TaskState::Quarantined => self.seal_quarantine(run_id, &report, &mut summary),
-            }
-            if report.attempts > 1 {
-                summary.retried += 1;
-            }
+            self.settle(run_id, &handle.wait(), &mut summary);
         }
         summary
     }
@@ -526,22 +491,49 @@ impl Experiment {
         }
     }
 
-    /// Seals a dead-lettered run: the quarantine record is persisted
-    /// *first* so it exists by the time the status flips to
-    /// `Quarantined`.
-    fn seal_quarantine(&self, run_id: Uuid, report: &TaskReport, summary: &mut LaunchSummary) {
-        summary.quarantined += 1;
-        let letter = crate::quarantine::DeadLetter {
-            run_id,
-            task: report.name.clone(),
-            error: report.error.clone().unwrap_or_default(),
-            redeliveries: report.redeliveries,
-            lease_events: report.lease_events.clone(),
-            attempts: report.attempts,
-            released: false,
-        };
-        let _ = crate::quarantine::persist(&self.db, &letter);
-        let _ = self.runs.transition(run_id, RunStatus::Quarantined);
+    /// Seals a run from its task report — the terminal status is
+    /// written here, exactly once per launched run — and counts it.
+    /// A timed-out attempt never returned, so it is recorded first; a
+    /// dead-lettered run gets its quarantine record *before* the status
+    /// flips to `Quarantined`. A run counts as retried when it needed
+    /// more than one attempt or more than one delivery.
+    fn settle(&self, run_id: Uuid, report: &TaskReport, summary: &mut LaunchSummary) {
+        match report.state {
+            TaskState::Succeeded => {
+                summary.done += 1;
+                let _ = self.runs.transition(run_id, RunStatus::Done);
+            }
+            TaskState::Failed => {
+                summary.failed += 1;
+                let _ = self.runs.transition(run_id, RunStatus::Failed);
+            }
+            TaskState::TimedOut => {
+                summary.timed_out += 1;
+                let delay = report
+                    .history
+                    .last()
+                    .map_or(Duration::ZERO, |a| a.delay_before);
+                let _ = self.runs.record_attempt(run_id, "timed-out", delay);
+                let _ = self.runs.transition(run_id, RunStatus::TimedOut);
+            }
+            TaskState::Quarantined => {
+                summary.quarantined += 1;
+                let letter = crate::quarantine::DeadLetter {
+                    run_id,
+                    task: report.name.clone(),
+                    error: report.error.clone().unwrap_or_default(),
+                    redeliveries: report.redeliveries,
+                    lease_events: report.lease_events.clone(),
+                    attempts: report.attempts,
+                    released: false,
+                };
+                let _ = crate::quarantine::persist(&self.db, &letter);
+                let _ = self.runs.transition(run_id, RunStatus::Quarantined);
+            }
+        }
+        if report.attempts > 1 || report.redeliveries > 0 {
+            summary.retried += 1;
+        }
     }
 
     /// Launches runs on the multi-process [`RemoteScheduler`] (steps
@@ -598,45 +590,38 @@ impl Experiment {
                 .collect(),
         );
         let store = self.runs.clone();
-        scheduler.set_event_hook(move |event| match event {
-            RemoteEvent::Dispatched {
-                task,
-                delivery,
-                generation,
-                ..
-            } => {
-                if let Some(&id) = ids.get(task) {
-                    let _ =
-                        store.log_event(id, &format!("remote-dispatch:{delivery}:g{generation}"));
+        scheduler.set_event_hook(move |event| {
+            let (task, record) = match event {
+                RemoteEvent::Dispatched {
+                    task,
+                    delivery,
+                    generation,
+                    ..
+                } => (task, format!("remote-dispatch:{delivery}:g{generation}")),
+                RemoteEvent::Acked {
+                    task,
+                    delivery,
+                    generation,
+                } => (task, format!("remote-ack:{delivery}:g{generation}")),
+                // A worker session resumed over a fresh TCP connection
+                // while holding this run's lease; journal the resume so
+                // SA0018 can audit acks against live sessions.
+                RemoteEvent::Reconnected {
+                    task,
+                    session,
+                    generation,
+                } => (task, format!("remote-reconnect:{session}:g{generation}")),
+                RemoteEvent::Redelivered { .. } | RemoteEvent::DeadLettered { .. } => return,
+            };
+            if let Some(&id) = ids.get(task) {
+                let _ = store.log_event(id, &record);
+                if matches!(event, RemoteEvent::Dispatched { .. }) {
                     // Queued -> Running on the first delivery; later
                     // deliveries find the run already Running and the
                     // refused edge is simply dropped.
                     let _ = store.transition(id, RunStatus::Running);
                 }
             }
-            RemoteEvent::Acked {
-                task,
-                delivery,
-                generation,
-            } => {
-                if let Some(&id) = ids.get(task) {
-                    let _ = store.log_event(id, &format!("remote-ack:{delivery}:g{generation}"));
-                }
-            }
-            RemoteEvent::Reconnected {
-                task,
-                session,
-                generation,
-            } => {
-                // A worker session resumed over a fresh TCP connection
-                // while holding this run's lease; journal the resume so
-                // SA0018 can audit acks against live sessions.
-                if let Some(&id) = ids.get(task) {
-                    let _ =
-                        store.log_event(id, &format!("remote-reconnect:{session}:g{generation}"));
-                }
-            }
-            RemoteEvent::Redelivered { .. } | RemoteEvent::DeadLettered { .. } => {}
         });
 
         let mut handles = Vec::new();
@@ -655,68 +640,30 @@ impl Experiment {
             }
         }
         for (run_id, handle) in handles {
-            let report: TaskReport = handle.wait();
-            match report.state {
-                TaskState::Succeeded => {
-                    // The worker already ran the simulation; archive
-                    // its outcome under the run record here. A worker
-                    // reporting `success: false` (e.g. a kernel panic)
-                    // still archived real results — only the terminal
-                    // status differs.
-                    match report.output.as_deref().map(crate::remote::decode_outcome) {
-                        Some(Ok(outcome)) => {
-                            for event in &outcome.events {
-                                let _ = self.runs.log_event(run_id, event);
-                            }
-                            let _ = self.runs.attach_results(
-                                run_id,
-                                outcome.sim_ticks,
-                                &outcome.outcome,
-                                &outcome.payload,
-                            );
-                            let disposition = if outcome.success {
-                                "succeeded"
-                            } else {
-                                "errored"
-                            };
-                            let _ = self
-                                .runs
-                                .record_attempt(run_id, disposition, Duration::ZERO);
-                            if outcome.success {
-                                summary.done += 1;
-                                let _ = self.runs.transition(run_id, RunStatus::Done);
-                            } else {
-                                summary.failed += 1;
-                                let _ = self.runs.transition(run_id, RunStatus::Failed);
-                            }
-                        }
-                        _ => {
-                            // Version-skewed or mangled outcome
-                            // encoding: fail loudly, never archive a
-                            // guess.
-                            let _ = self.runs.record_attempt(run_id, "errored", Duration::ZERO);
-                            summary.failed += 1;
-                            let _ = self.runs.transition(run_id, RunStatus::Failed);
-                        }
+            let mut report = handle.wait();
+            if matches!(report.state, TaskState::Succeeded | TaskState::Failed) {
+                // The worker process cannot reach the database, so its
+                // outcome is archived and its attempt recorded here. A
+                // worker reporting `success: false` (e.g. a kernel
+                // panic) still archived real results; a version-skewed
+                // or mangled outcome fails loudly and archives nothing.
+                let outcome = report.output.as_deref().map(decode_outcome);
+                let success = match outcome {
+                    Some(Ok(outcome)) => {
+                        archive_outcome(&self.runs, run_id, &outcome);
+                        outcome.success
                     }
+                    _ => false,
+                };
+                let disposition = if success { "succeeded" } else { "errored" };
+                let _ = self
+                    .runs
+                    .record_attempt(run_id, disposition, Duration::ZERO);
+                if !success {
+                    report.state = TaskState::Failed;
                 }
-                TaskState::Failed => {
-                    summary.failed += 1;
-                    let _ = self.runs.record_attempt(run_id, "errored", Duration::ZERO);
-                    let _ = self.runs.transition(run_id, RunStatus::Failed);
-                }
-                TaskState::TimedOut => {
-                    summary.timed_out += 1;
-                    let _ = self
-                        .runs
-                        .record_attempt(run_id, "timed-out", Duration::ZERO);
-                    let _ = self.runs.transition(run_id, RunStatus::TimedOut);
-                }
-                TaskState::Quarantined => self.seal_quarantine(run_id, &report, &mut summary),
             }
-            if report.redeliveries > 0 {
-                summary.retried += 1;
-            }
+            self.settle(run_id, &report, &mut summary);
         }
         summary
     }
@@ -735,6 +682,20 @@ impl Experiment {
     pub fn runs_using(&self, artifact: ArtifactId) -> Result<Vec<FsRun>, ExperimentError> {
         Ok(self.runs.find_by_artifact(artifact)?)
     }
+}
+
+/// Journals an executor's outcome on its run: its provenance events
+/// (e.g. the checkpoint save/restore trail) first, then its results.
+fn archive_outcome(store: &RunStore, run_id: Uuid, outcome: &ExecOutcome) {
+    for event in &outcome.events {
+        let _ = store.log_event(run_id, event);
+    }
+    let _ = store.attach_results(
+        run_id,
+        outcome.sim_ticks,
+        &outcome.outcome,
+        &outcome.payload,
+    );
 }
 
 #[cfg(test)]
@@ -1062,6 +1023,39 @@ mod tests {
             experiment.runs().load(id).unwrap().status(),
             RunStatus::Failed
         );
+    }
+
+    #[test]
+    fn broker_redelivery_counts_as_a_retry() {
+        use simart_tasks::{BrokerScheduler, SupervisorConfig};
+        let (experiment, ids) = experiment_with_components();
+        let runs = vec![make_run(&experiment, ids, "killed-once")];
+        // The worker dies on the first delivery only; the redelivery
+        // succeeds on its first attempt.
+        let config = SupervisorConfig {
+            heartbeat: Duration::from_millis(10),
+            max_redeliveries: 1,
+            ..SupervisorConfig::default()
+        };
+        let broker = BrokerScheduler::with_config(1, config);
+        let kills = Arc::new(FaultInjector::new(3).worker_kills(1.0).worker_kill_limit(1));
+        let summary = experiment.launch_with(
+            runs,
+            &broker,
+            |_| {
+                Ok(ExecOutcome {
+                    outcome: "success".into(),
+                    sim_ticks: 1,
+                    payload: vec![],
+                    success: true,
+                    events: vec![],
+                })
+            },
+            &LaunchOptions::default().worker_fault(Arc::clone(&kills)),
+        );
+        assert_eq!(kills.injected_kills(), 1);
+        assert_eq!(summary.done, 1);
+        assert_eq!(summary.retried, 1, "a redelivered run was retried");
     }
 
     #[test]

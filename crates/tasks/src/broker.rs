@@ -2,66 +2,57 @@
 //!
 //! Tasks flow through a named broker queue; workers register with the
 //! broker and pull work. The structure mirrors a distributed Celery
-//! deployment collapsed into one process: the queue carries task
-//! metadata + payload, workers ack by reporting, and per-queue
-//! statistics are observable while the system runs.
+//! deployment collapsed into one process: the queue carries job ids,
+//! workers ack by reporting, and per-queue statistics are observable
+//! while the system runs.
 //!
 //! # Supervision
 //!
-//! Every dequeued job carries a *lease*: a deadline of the task's
-//! timeout plus a grace period, owned by the worker that dequeued it.
-//! A supervisor thread ticks on a heartbeat
+//! The delivery contract — leases, numbered deliveries, redelivery up
+//! to [`SupervisorConfig::max_redeliveries`], dead letters and
+//! first-report-wins — is the [`LeaseTable`]'s (see [`crate::lease`]);
+//! the broker keeps one table under its state lock and carries out its
+//! verdicts with threads. A worker takes the lease when it dequeues a
+//! job, and a supervisor thread ticks on a heartbeat
 //! ([`SupervisorConfig::heartbeat`]) and each tick:
 //!
 //! 1. **reaps** detached worker threads that have since finished
 //!    (joining them, so the live-detached gauge returns to zero);
 //! 2. **respawns** workers that died holding a lease (e.g. a simulated
-//!    SIGKILL via [`Fault::WorkerKill`]), recovering their leases
-//!    immediately;
+//!    SIGKILL via [`Fault::WorkerKill`]) and revokes their leases
+//!    (`worker-died`);
 //! 3. **expires** leases past their deadline: the presumed-wedged
 //!    worker is detached (moved to the reap list, a replacement
-//!    spawned — up to [`SupervisorConfig::max_detached`]) and the task
-//!    is *redelivered* to the queue, up to
-//!    [`SupervisorConfig::max_redeliveries`] times, after which it is
-//!    dead-lettered with [`TaskState::Quarantined`].
+//!    spawned — up to [`SupervisorConfig::max_detached`], past which
+//!    the job fails fast as `detached-cap`) and its lease revoked
+//!    (`lease-expired`).
 //!
-//! Exactly one report is ever delivered per submitted task
-//! (first-report-wins: a detached straggler that eventually finishes
-//! after its task was redelivered either wins the race — at-least-once
-//! semantics — or its stale report is discarded).
-//!
-//! With the default config (`max_redeliveries: 0`) an expired lease is
-//! reported as [`TaskState::TimedOut`] at once, matching the classic
-//! watchdog behaviour — but unlike the watchdog, the wedged thread is
-//! reaped once it finishes instead of leaking forever.
+//! A redelivered job goes back on the queue; a detached straggler that
+//! finishes first still wins (at-least-once delivery, exactly-once
+//! reports). With the default config (`max_redeliveries: 0`) an
+//! expired lease is reported as [`TaskState::TimedOut`] at once,
+//! matching the classic watchdog behaviour — but unlike the watchdog,
+//! the wedged thread is reaped once it finishes instead of leaking
+//! forever.
 
 use crate::fault::Fault;
-use crate::supervise::SupervisorConfig;
+use crate::lease::{Cause, LeaseTable, SupervisorConfig, Verdict};
 use crate::task::{execute_supervised, Task, TaskHandle, TaskReport, TaskState};
 use crate::{trace, Scheduler};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use simart_observe as observe;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A queued delivery of a task. Redeliveries share `job_id`,
-/// `reported`, and the report channel with the original submission.
-struct JobEnvelope {
+/// A submitted task, kept in the lease table until it reports.
+#[derive(Clone)]
+struct Job {
     task: Task,
     report_tx: Sender<TaskReport>,
-    /// First-report-wins guard: whoever swaps this to `true` delivers
-    /// the single report for this job.
-    reported: Arc<AtomicBool>,
-    job_id: u64,
-    /// 1-based delivery number (1 = original submission).
-    delivery: u32,
-    /// Supervisor lease events accumulated across deliveries.
-    lease_events: Vec<String>,
     first_enqueued: Instant,
 }
 
@@ -76,27 +67,12 @@ struct WorkerFlags {
     graceful: AtomicBool,
 }
 
-/// One position in the worker pool. Respawns bump `generation` so
-/// leases can tell the worker that owned them from its replacement.
+/// One position in the worker pool. Every spawn gets a fresh
+/// `generation`, which owns the leases that worker takes.
 struct WorkerSlot {
     handle: Option<JoinHandle<()>>,
     flags: Arc<WorkerFlags>,
     generation: u64,
-}
-
-/// An in-flight delivery, owned by a worker, watched by the supervisor.
-struct Lease {
-    task: Task,
-    report_tx: Sender<TaskReport>,
-    reported: Arc<AtomicBool>,
-    delivery: u32,
-    /// `dequeue time + timeout + grace`; `None` for tasks without a
-    /// timeout (recovered only if their worker dies).
-    deadline: Option<Instant>,
-    slot: usize,
-    generation: u64,
-    lease_events: Vec<String>,
-    first_enqueued: Instant,
 }
 
 #[derive(Debug, Default)]
@@ -115,7 +91,7 @@ struct BrokerStats {
 /// Mutable supervision state, behind one lock.
 struct SupervisionState {
     slots: Vec<WorkerSlot>,
-    leases: HashMap<u64, Lease>,
+    leases: LeaseTable<Job>,
     /// Detached (presumed-wedged) worker threads awaiting reap.
     detached: Vec<JoinHandle<()>>,
     next_generation: u64,
@@ -127,12 +103,11 @@ struct SupervisionState {
 struct Shared {
     stats: BrokerStats,
     config: SupervisorConfig,
-    queue: Mutex<Option<Sender<JobEnvelope>>>,
+    queue: Mutex<Option<Sender<u64>>>,
     /// The broker's own view of the queue: used by `shutdown_now` to
     /// drain jobs the workers will never run, and by respawned workers.
-    pending: Receiver<JobEnvelope>,
+    pending: Receiver<u64>,
     state: Mutex<SupervisionState>,
-    next_job: AtomicU64,
     queue_trace_id: u64,
 }
 
@@ -164,7 +139,7 @@ impl BrokerScheduler {
     /// Panics if `workers` is zero.
     pub fn with_config(workers: usize, config: SupervisorConfig) -> BrokerScheduler {
         assert!(workers > 0, "a broker needs at least one worker");
-        let (tx, rx) = unbounded::<JobEnvelope>();
+        let (tx, rx) = unbounded::<u64>();
         let shared = Arc::new(Shared {
             stats: BrokerStats::default(),
             config,
@@ -172,24 +147,18 @@ impl BrokerScheduler {
             pending: rx,
             state: Mutex::new(SupervisionState {
                 slots: Vec::with_capacity(workers),
-                leases: HashMap::new(),
+                leases: LeaseTable::new(config),
                 detached: Vec::new(),
                 next_generation: 0,
                 shutdown: false,
             }),
-            next_job: AtomicU64::new(1),
             queue_trace_id: trace::fresh_id(),
         });
         {
             let mut st = shared.state.lock();
             for slot in 0..workers {
-                let flags = Arc::new(WorkerFlags::default());
-                let handle = spawn_worker(&shared, slot, 0, Arc::clone(&flags));
-                st.slots.push(WorkerSlot {
-                    handle: Some(handle),
-                    flags,
-                    generation: 0,
-                });
+                let worker = spawn_worker(&shared, &mut st, slot);
+                st.slots.push(worker);
             }
         }
         let (stop_tx, stop_rx) = bounded::<()>(0);
@@ -209,14 +178,16 @@ impl BrokerScheduler {
     /// are no longer redelivered. Returns the number of jobs discarded
     /// by this call.
     pub fn shutdown_now(&self) -> u64 {
-        self.shared.state.lock().shutdown = true;
-        let _ = self.shared.queue.lock().take();
+        self.shared.close();
         let mut discarded = 0u64;
         // Race with workers draining the same queue is fine: each job
-        // goes to exactly one side.
-        while let Ok(envelope) = self.shared.pending.try_recv() {
-            drop(envelope); // drops report_tx → synthesized failure
-            discarded += 1;
+        // id goes to exactly one side.
+        while let Ok(job_id) = self.shared.pending.try_recv() {
+            // Dropping the job drops its report sender → synthesized
+            // failure. A stale id (the job already reported) is no job.
+            if self.shared.state.lock().leases.discard(job_id) {
+                discarded += 1;
+            }
         }
         self.shared
             .stats
@@ -317,34 +288,28 @@ impl Scheduler for BrokerScheduler {
         self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
         task.stamp_queued();
         trace::task_submit(task.trace_id);
-        let envelope = JobEnvelope {
+        let timeout = task.timeout;
+        let job = Job {
             task,
             report_tx: tx,
-            reported: Arc::new(AtomicBool::new(false)),
-            job_id: self.shared.next_job.fetch_add(1, Ordering::SeqCst),
-            delivery: 1,
-            lease_events: Vec::new(),
             first_enqueued: Instant::now(),
         };
-        match self.shared.queue.lock().as_ref() {
+        let mut st = self.shared.state.lock();
+        let job_id = st.leases.submit(timeout, job);
+        let sent = match self.shared.queue.lock().as_ref() {
             Some(sender) => {
                 observe::count("broker.enqueued", 1);
                 trace::enqueue(self.shared.queue_trace_id);
-                if sender.send(envelope).is_err() {
-                    // All receivers gone (queue torn down mid-send):
-                    // degrade to the drop path instead of panicking.
-                    // The returned envelope — report sender included —
-                    // is dropped, so the handle resolves to a
-                    // synthesized failure.
-                    self.shared.stats.dropped.fetch_add(1, Ordering::SeqCst);
-                }
+                sender.send(job_id).is_ok()
             }
-            None => {
-                // Shut down: drop the report sender so the handle
-                // resolves to a synthesized failure.
-                self.shared.stats.dropped.fetch_add(1, Ordering::SeqCst);
-                drop(envelope);
-            }
+            None => false,
+        };
+        if !sent {
+            // Shut down (or the queue torn down mid-send): dropping the
+            // job drops its report sender, so the handle resolves to a
+            // synthesized failure.
+            st.leases.discard(job_id);
+            self.shared.stats.dropped.fetch_add(1, Ordering::SeqCst);
         }
         TaskHandle { receiver: rx, name }
     }
@@ -356,15 +321,14 @@ impl Scheduler for BrokerScheduler {
 
 impl Drop for BrokerScheduler {
     fn drop(&mut self) {
-        self.shared.state.lock().shutdown = true;
-        let _ = self.shared.queue.lock().take();
+        self.shared.close();
         // Disconnecting the stop channel ends the supervisor loop.
         self.stop.take();
         if let Some(supervisor) = self.supervisor.take() {
             let _ = supervisor.join();
         }
         // Collect handles first, then join without holding the state
-        // lock (workers lock it to register/complete leases).
+        // lock (workers lock it to take and complete leases).
         let (workers, detached) = {
             let mut st = self.shared.state.lock();
             let workers: Vec<_> = st
@@ -384,44 +348,70 @@ impl Drop for BrokerScheduler {
     }
 }
 
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    slot: usize,
-    generation: u64,
-    flags: Arc<WorkerFlags>,
-) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("simart-broker-worker-{slot}-g{generation}"))
-        .spawn(move || worker_loop(&shared, slot, generation, &flags))
-        .expect("spawning broker worker")
+impl Shared {
+    /// Stops respawns and redelivery, then closes the queue (in that
+    /// order: a supervisor tick holding the state lock either finishes
+    /// before the close or sees it, so it never redelivers into a
+    /// closed queue).
+    fn close(&self) {
+        {
+            let mut st = self.state.lock();
+            st.shutdown = true;
+            st.leases.close();
+        }
+        let _ = self.queue.lock().take();
+    }
 }
 
-fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, flags: &Arc<WorkerFlags>) {
-    while let Ok(envelope) = shared.pending.recv() {
+/// Spawns a worker under a fresh generation into position `slot`.
+fn spawn_worker(shared: &Arc<Shared>, st: &mut SupervisionState, slot: usize) -> WorkerSlot {
+    st.next_generation += 1;
+    let generation = st.next_generation;
+    let flags = Arc::new(WorkerFlags::default());
+    let handle = {
+        let (shared, flags) = (Arc::clone(shared), Arc::clone(&flags));
+        std::thread::Builder::new()
+            .name(format!("simart-broker-worker-{slot}-g{generation}"))
+            .spawn(move || worker_loop(&shared, generation, &flags))
+            .expect("spawning broker worker")
+    };
+    WorkerSlot {
+        handle: Some(handle),
+        flags,
+        generation,
+    }
+}
+
+fn worker_loop(shared: &Shared, generation: u64, flags: &WorkerFlags) {
+    while let Ok(job_id) = shared.pending.recv() {
         trace::dequeue(shared.queue_trace_id);
         observe::count("broker.dequeued", 1);
-        if envelope.reported.load(Ordering::SeqCst) {
-            // A stale redelivery: the job was already reported (e.g. a
+        // Take the lease before consulting worker faults, so a killed
+        // worker leaves a lease behind for the supervisor to recover.
+        let granted = shared
+            .state
+            .lock()
+            .leases
+            .grant(job_id, generation, Instant::now())
+            .map(|(delivery, job)| (delivery, job.task.clone()));
+        let Some((delivery, task)) = granted else {
+            // A stale redelivery: the job already reported (e.g. a
             // detached straggler finished first). Discard silently.
             if flags.detached.load(Ordering::SeqCst) {
                 break;
             }
             continue;
-        }
+        };
+        trace::lease_grant(task.trace_id);
         // Broker-to-worker handoff latency (the task's own queue stamp
         // keeps ticking until `execute`).
-        if let Some(us) = envelope.task.queue_stamp.elapsed_us() {
+        if let Some(us) = task.queue_stamp.elapsed_us() {
             observe::observe_us("broker.queue_latency_us", us);
         }
-        // Take the lease before consulting worker faults, so a killed
-        // worker leaves a lease behind for the supervisor to recover.
-        register_lease(shared, &envelope, slot, generation);
-        let worker_fault = envelope
-            .task
+        let worker_fault = task
             .fault
             .as_ref()
-            .and_then(|inj| inj.take_worker_fault(envelope.task.name(), envelope.delivery));
+            .and_then(|inj| inj.take_worker_fault(task.name(), delivery));
         match worker_fault {
             Some(Fault::WorkerKill) => {
                 // Simulated SIGKILL: die holding the lease, without
@@ -431,26 +421,15 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, flags: &Arc<W
             Some(Fault::WorkerStall(stall)) => std::thread::sleep(stall),
             _ => {}
         }
-        let mut report = execute_supervised(envelope.task.clone());
-        // Completion: release the lease (only our own delivery — a
-        // redelivered copy may have re-registered under the same id).
-        {
-            let mut st = shared.state.lock();
-            if st
-                .leases
-                .get(&envelope.job_id)
-                .is_some_and(|lease| lease.delivery == envelope.delivery)
-            {
-                st.leases.remove(&envelope.job_id);
-            }
-        }
-        if !envelope.reported.swap(true, Ordering::SeqCst) {
-            report.redeliveries = envelope.delivery - 1;
-            report.lease_events = envelope.lease_events.clone();
+        let mut report = execute_supervised(task);
+        let accepted = shared.state.lock().leases.complete(job_id);
+        if let Some(accepted) = accepted {
+            report.redeliveries = accepted.redeliveries;
+            report.lease_events = accepted.lease_events;
             // Count before delivering the report: a waiter that
             // observes the report must also observe the count.
             shared.stats.completed.fetch_add(1, Ordering::SeqCst);
-            let _ = envelope.report_tx.send(report);
+            let _ = accepted.job.report_tx.send(report);
         }
         if flags.detached.load(Ordering::SeqCst) {
             // The supervisor presumed this worker wedged and already
@@ -459,28 +438,6 @@ fn worker_loop(shared: &Arc<Shared>, slot: usize, generation: u64, flags: &Arc<W
         }
     }
     flags.graceful.store(true, Ordering::SeqCst);
-}
-
-fn register_lease(shared: &Shared, envelope: &JobEnvelope, slot: usize, generation: u64) {
-    trace::lease_grant(envelope.task.trace_id);
-    let deadline = envelope
-        .task
-        .timeout
-        .map(|timeout| Instant::now() + timeout + shared.config.grace);
-    shared.state.lock().leases.insert(
-        envelope.job_id,
-        Lease {
-            task: envelope.task.clone(),
-            report_tx: envelope.report_tx.clone(),
-            reported: Arc::clone(&envelope.reported),
-            delivery: envelope.delivery,
-            deadline,
-            slot,
-            generation,
-            lease_events: envelope.lease_events.clone(),
-            first_enqueued: envelope.first_enqueued,
-        },
-    );
 }
 
 fn spawn_supervisor(shared: Arc<Shared>, stop: Receiver<()>) -> JoinHandle<()> {
@@ -520,49 +477,27 @@ fn reap_detached(shared: &Shared, st: &mut SupervisionState) {
 
 fn recover_dead_workers(shared: &Arc<Shared>, st: &mut SupervisionState) {
     for slot_idx in 0..st.slots.len() {
-        let died = {
-            let slot = &st.slots[slot_idx];
-            slot.handle.as_ref().is_some_and(JoinHandle::is_finished)
-                && !slot.flags.graceful.load(Ordering::SeqCst)
-        };
+        let slot = &mut st.slots[slot_idx];
+        let died = slot.handle.as_ref().is_some_and(JoinHandle::is_finished)
+            && !slot.flags.graceful.load(Ordering::SeqCst);
         if !died {
             continue;
         }
-        let dead_generation = st.slots[slot_idx].generation;
-        if let Some(handle) = st.slots[slot_idx].handle.take() {
+        let dead_generation = slot.generation;
+        if let Some(handle) = slot.handle.take() {
             let _ = handle.join();
         }
         if !st.shutdown {
             respawn(shared, st, slot_idx);
         }
-        // Whatever lease the dead worker held dies with it: recover it
+        // Whatever lease the dead worker held dies with it: revoke it
         // now instead of waiting out its deadline.
-        let orphaned: Vec<u64> = st
-            .leases
-            .iter()
-            .filter(|(_, lease)| lease.slot == slot_idx && lease.generation == dead_generation)
-            .map(|(job_id, _)| *job_id)
-            .collect();
-        for job_id in orphaned {
-            if let Some(lease) = st.leases.remove(&job_id) {
-                recover_lease(shared, st, job_id, lease, "worker-died");
-            }
-        }
+        revoke(shared, st, dead_generation, Cause::WorkerDied);
     }
 }
 
 fn expire_leases(shared: &Arc<Shared>, st: &mut SupervisionState) {
-    let now = Instant::now();
-    let expired: Vec<u64> = st
-        .leases
-        .iter()
-        .filter(|(_, lease)| lease.deadline.is_some_and(|deadline| now >= deadline))
-        .map(|(job_id, _)| *job_id)
-        .collect();
-    for job_id in expired {
-        let Some(lease) = st.leases.remove(&job_id) else {
-            continue;
-        };
+    for owner in st.leases.expired_owners(Instant::now()) {
         shared
             .stats
             .lease_expirations
@@ -572,15 +507,20 @@ fn expire_leases(shared: &Arc<Shared>, st: &mut SupervisionState) {
         // Detach it and spawn a replacement — unless the live-detached
         // cap is reached, in which case fail fast (the pool degrades
         // rather than leaking more threads).
-        let owner_current = st.slots[lease.slot].generation == lease.generation && !st.shutdown;
-        if owner_current && st.detached.len() >= shared.config.max_detached {
-            dead_letter(shared, lease, "detached-cap");
-            continue;
-        }
-        if owner_current {
-            detach_and_respawn(shared, st, lease.slot);
-        }
-        recover_lease(shared, st, job_id, lease, "lease-expired");
+        let current = st
+            .slots
+            .iter()
+            .position(|slot| slot.generation == owner)
+            .filter(|_| !st.shutdown);
+        let cause = match current {
+            Some(_) if st.detached.len() >= shared.config.max_detached => Cause::DetachedCap,
+            Some(slot_idx) => {
+                detach_and_respawn(shared, st, slot_idx);
+                Cause::LeaseExpired
+            }
+            None => Cause::LeaseExpired,
+        };
+        revoke(shared, st, owner, cause);
     }
 }
 
@@ -599,127 +539,39 @@ fn detach_and_respawn(shared: &Arc<Shared>, st: &mut SupervisionState, slot_idx:
 
 /// Spawns a fresh worker into a slot (new generation, fresh flags).
 fn respawn(shared: &Arc<Shared>, st: &mut SupervisionState, slot_idx: usize) {
-    st.next_generation += 1;
-    let generation = st.next_generation;
-    let flags = Arc::new(WorkerFlags::default());
-    let handle = spawn_worker(shared, slot_idx, generation, Arc::clone(&flags));
-    st.slots[slot_idx] = WorkerSlot {
-        handle: Some(handle),
-        flags,
-        generation,
-    };
+    st.slots[slot_idx] = spawn_worker(shared, st, slot_idx);
     shared.stats.worker_respawns.fetch_add(1, Ordering::SeqCst);
     observe::count("broker.worker_respawns", 1);
 }
 
-/// Redelivers a recovered lease if the cap and queue allow, otherwise
-/// dead-letters it.
-fn recover_lease(
-    shared: &Shared,
-    _st: &mut SupervisionState,
-    job_id: u64,
-    mut lease: Lease,
-    cause: &str,
-) {
-    trace::lease_revoke(lease.task.trace_id);
-    lease
-        .lease_events
-        .push(format!("delivery:{}:{}", lease.delivery, cause));
-    let redeliveries_so_far = lease.delivery - 1;
-    let sender = shared.queue.lock().clone();
-    let Some(sender) = sender else {
-        return dead_letter(shared, lease, cause);
-    };
-    if redeliveries_so_far >= shared.config.max_redeliveries {
-        return dead_letter(shared, lease, cause);
-    }
-    shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
-    observe::count("broker.redelivered", 1);
-    trace::task_requeue(lease.task.trace_id);
-    trace::enqueue(shared.queue_trace_id);
-    let envelope = JobEnvelope {
-        task: lease.task,
-        report_tx: lease.report_tx,
-        reported: lease.reported,
-        job_id,
-        delivery: lease.delivery + 1,
-        lease_events: lease.lease_events,
-        first_enqueued: lease.first_enqueued,
-    };
-    if let Err(failed) = sender.send(envelope) {
-        // Queue closed between the clone and the send: dead-letter the
-        // envelope we got back instead.
-        let envelope = failed.0;
-        dead_letter(
-            shared,
-            Lease {
-                task: envelope.task,
-                report_tx: envelope.report_tx,
-                reported: envelope.reported,
-                delivery: envelope.delivery - 1,
-                deadline: None,
-                slot: 0,
-                generation: 0,
-                lease_events: envelope.lease_events,
-                first_enqueued: envelope.first_enqueued,
-            },
-            cause,
-        );
-    }
-}
-
-/// Synthesizes the terminal report for a lease that cannot be
-/// redelivered (first-report-wins, like any other delivery).
-fn dead_letter(shared: &Shared, lease: Lease, cause: &str) {
-    shared.stats.dead_lettered.fetch_add(1, Ordering::SeqCst);
-    let redeliveries = lease.delivery - 1;
-    let (state, detached, error) = match cause {
-        "detached-cap" => (
-            TaskState::TimedOut,
-            false,
-            format!(
-                "task lease expired but the detached-worker cap ({}) is reached; \
-                 failing fast without redelivery",
-                shared.config.max_detached
-            ),
-        ),
-        _ if redeliveries > 0 => (
-            TaskState::Quarantined,
-            false,
-            format!(
-                "task quarantined: redelivery cap ({}) exhausted after {} deliveries \
-                 (last cause: {cause})",
-                shared.config.max_redeliveries, lease.delivery
-            ),
-        ),
-        "worker-died" => (
-            TaskState::Failed,
-            false,
-            "worker died holding the task lease; no redeliveries allowed".to_owned(),
-        ),
-        _ => (
-            TaskState::TimedOut,
-            true,
-            format!(
-                "task lease expired (timeout {:?} + grace {:?}); no redeliveries allowed",
-                lease.task.timeout, shared.config.grace
-            ),
-        ),
-    };
-    let report = TaskReport {
-        name: lease.task.name().to_owned(),
-        state,
-        output: None,
-        error: Some(error),
-        attempts: 0,
-        duration: lease.first_enqueued.elapsed(),
-        detached,
-        history: Vec::new(),
-        redeliveries,
-        lease_events: lease.lease_events,
-    };
-    if !lease.reported.swap(true, Ordering::SeqCst) {
-        let _ = lease.report_tx.send(report);
+/// Revokes the leases `owner` holds and carries out the table's
+/// verdicts: requeue a redelivery, or report a dead letter.
+fn revoke(shared: &Shared, st: &mut SupervisionState, owner: u64, cause: Cause) {
+    for (job_id, verdict) in st.leases.owner_lost(owner, cause) {
+        match verdict {
+            Verdict::Redeliver { job, .. } => {
+                trace::lease_revoke(job.task.trace_id);
+                shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
+                observe::count("broker.redelivered", 1);
+                trace::task_requeue(job.task.trace_id);
+                trace::enqueue(shared.queue_trace_id);
+                // The table redelivers only while open, and the queue
+                // closes after the table (see `Shared::close`).
+                if let Some(sender) = shared.queue.lock().as_ref() {
+                    let _ = sender.send(job_id);
+                }
+            }
+            Verdict::DeadLetter(letter) => {
+                trace::lease_revoke(letter.job.task.trace_id);
+                shared.stats.dead_lettered.fetch_add(1, Ordering::SeqCst);
+                let name = letter.job.task.name().to_owned();
+                let duration = letter.job.first_enqueued.elapsed();
+                let detached = cause == Cause::LeaseExpired && letter.state == TaskState::TimedOut;
+                let (mut report, job) = letter.into_report(name, duration);
+                report.detached = detached;
+                let _ = job.report_tx.send(report);
+            }
+        }
     }
 }
 

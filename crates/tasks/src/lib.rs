@@ -27,13 +27,13 @@
 //! per-attempt history ([`AttemptRecord`]), which is bit-identical
 //! across runs with equal seeds.
 //!
-//! The broker additionally *supervises* its workers: dequeued jobs
-//! carry leases, a heartbeat supervisor redelivers work whose lease
-//! expired or whose worker died (up to
-//! [`SupervisorConfig::max_redeliveries`]), respawns dead workers, and
-//! reaps detached threads. Tasks that exhaust redelivery are
-//! dead-lettered as [`TaskState::Quarantined`]. See
-//! [`BrokerScheduler::with_config`].
+//! The broker and the multi-process [`RemoteScheduler`] additionally
+//! *supervise* their workers: dequeued jobs carry leases, a heartbeat
+//! supervisor redelivers work whose lease expired or whose worker died
+//! (up to [`SupervisorConfig::max_redeliveries`]) and respawns dead
+//! workers. Tasks that exhaust redelivery are dead-lettered as
+//! [`TaskState::Quarantined`]. Both carry out one contract, the pure
+//! [`lease::LeaseTable`]. See [`BrokerScheduler::with_config`].
 //!
 //! ```
 //! use simart_tasks::{PoolScheduler, Scheduler, Task};
@@ -51,11 +51,11 @@
 
 mod broker;
 mod fault;
+pub mod lease;
 mod pool;
 pub mod remote;
 mod retry;
 mod serial;
-mod supervise;
 mod task;
 pub(crate) mod trace;
 pub mod transport;
@@ -63,6 +63,7 @@ pub mod wire;
 
 pub use broker::BrokerScheduler;
 pub use fault::{Fault, FaultInjector, NetFault};
+pub use lease::SupervisorConfig;
 pub use pool::PoolScheduler;
 pub use remote::{
     worker_main, worker_main_connect, HandlerRegistry, RemoteConfig, RemoteEvent, RemoteScheduler,
@@ -70,7 +71,6 @@ pub use remote::{
 };
 pub use retry::{Backoff, RetryPolicy};
 pub use serial::SerialScheduler;
-pub use supervise::SupervisorConfig;
 pub use task::{AttemptDisposition, AttemptRecord, Task, TaskHandle, TaskReport, TaskState};
 pub use transport::{ChaosReader, ChaosWriter, TransportKind, WORKER_SESSION_ENV};
 

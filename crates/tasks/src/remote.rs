@@ -22,12 +22,15 @@
 //! reachable past [`RemoteConfig::unreachable_deadline`] while work is
 //! pending, the coordinator fails that work loudly instead of hanging.
 //!
-//! The delivery contract is the broker's supervision contract,
-//! verbatim:
+//! The delivery contract is the broker's, from the same code: the
+//! coordinator keeps a [`LeaseTable`] (see [`crate::lease`]) under its
+//! state lock and carries out its verdicts with processes:
 //!
-//! * every dispatched job holds a *lease* (task timeout + grace);
-//! * a worker whose PID dies, whose heartbeats stop, or whose lease
-//!   expires is killed and respawned with a bumped generation;
+//! * writing a dispatch frame grants the lease (task timeout + grace)
+//!   to the worker's generation;
+//! * a worker whose PID dies, whose heartbeats stop, whose lease
+//!   expires, or who writes a torn frame is killed and respawned with
+//!   a bumped generation, and its lease revoked;
 //! * the job is re-delivered up to
 //!   [`SupervisorConfig::max_redeliveries`] times, with
 //!   first-report-wins dedup, and dead-lettered as
@@ -47,15 +50,15 @@
 //! of the protocol is [`worker_main`].
 
 use crate::fault::{Fault, FaultInjector};
+use crate::lease::{Accepted, Cause, DeadLetter, LeaseTable, SupervisorConfig, Verdict};
 use crate::retry::RetryPolicy;
-use crate::supervise::SupervisorConfig;
 use crate::task::{AttemptDisposition, AttemptRecord, TaskHandle, TaskReport, TaskState};
 use crate::trace;
 use crate::transport::{
     self, ChaosReader, ChaosWriter, Duplex, Transport, TransportKind, WORKER_SESSION_ENV,
 };
 use crate::wire::{FrameDecoder, Message, PROTOCOL_VERSION};
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, RecvTimeoutError, Sender};
 use simart_observe as observe;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -347,60 +350,15 @@ pub struct RemoteStats {
     pub in_flight: usize,
 }
 
-struct StatCounters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    dropped: AtomicU64,
-    dead_lettered: AtomicU64,
-    redelivered: AtomicU64,
-    respawns: AtomicU64,
-    frame_errors: AtomicU64,
-    chaos_kills: AtomicU64,
-    steals: AtomicU64,
-    reconnects: AtomicU64,
-    partitions: AtomicU64,
-    resume_reconciled: AtomicU64,
-}
-
-impl StatCounters {
-    fn new() -> StatCounters {
-        StatCounters {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            dead_lettered: AtomicU64::new(0),
-            redelivered: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            frame_errors: AtomicU64::new(0),
-            chaos_kills: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            partitions: AtomicU64::new(0),
-            resume_reconciled: AtomicU64::new(0),
-        }
-    }
-}
-
 type EventHook = Arc<dyn Fn(&RemoteEvent) + Send + Sync>;
 
+/// A submitted spec, kept in the lease table until it reports.
+#[derive(Clone)]
 struct RemoteJob {
     spec: RemoteTaskSpec,
     report_tx: Sender<TaskReport>,
-    reported: Arc<AtomicBool>,
-    job_id: u64,
-    /// 1-based delivery number (redeliveries = delivery - 1).
-    delivery: u32,
-    lease_events: Vec<String>,
     first_enqueued: Instant,
     trace_id: u64,
-}
-
-struct RemoteLease {
-    job: RemoteJob,
-    deadline: Option<Instant>,
-    /// When the dispatch frame was written, for the lost-dispatch
-    /// reconciliation in the heartbeat handler.
-    granted: Instant,
 }
 
 struct Slot {
@@ -416,7 +374,8 @@ struct Slot {
     exiting: bool,
     busy: Option<u64>,
     last_seen: Instant,
-    queue: VecDeque<RemoteJob>,
+    /// Ids of jobs waiting for this worker.
+    queue: VecDeque<u64>,
     reader: Option<JoinHandle<()>>,
     /// Session token minted at spawn; a reconnecting TCP worker
     /// presents it in its Hello to resume this slot.
@@ -435,18 +394,43 @@ struct Slot {
     net_frames: Arc<AtomicU64>,
 }
 
+impl Slot {
+    /// A slot with no worker process (yet): what a failed spawn leaves.
+    fn new(generation: u64) -> Slot {
+        Slot {
+            generation,
+            child: None,
+            writer: None,
+            pid: 0,
+            ready: false,
+            exiting: false,
+            busy: None,
+            last_seen: Instant::now(),
+            queue: VecDeque::new(),
+            reader: None,
+            session: 0,
+            session_trace: 0,
+            conn_epoch: 0,
+            had_conn: false,
+            net_frames: Arc::new(AtomicU64::new(0)),
+        }
+    }
+}
+
 struct CoordState {
     slots: Vec<Slot>,
-    leases: HashMap<u64, RemoteLease>,
+    leases: LeaseTable<RemoteJob>,
+    /// Counters; the gauges (`workers`, `backlog`, `in_flight`) are
+    /// filled in by [`RemoteScheduler::stats`].
+    stats: RemoteStats,
     retired_readers: Vec<JoinHandle<()>>,
-    next_job: u64,
     next_generation: u64,
     next_session: u64,
     next_epoch: u64,
     /// When pending work first found no reachable worker (drives the
     /// loud `workers-unreachable` degradation).
     unreachable_since: Option<Instant>,
-    /// Queued-but-undispatched jobs across all slot queues.
+    /// Queued-but-undispatched job ids across all slot queues.
     backlog: usize,
     /// No new submits accepted.
     shutdown: bool,
@@ -466,7 +450,6 @@ struct Shared {
     /// progresses — submitters and the draining shutdown wait here.
     space: Condvar,
     stopping: AtomicBool,
-    stats: StatCounters,
     hook: Mutex<Option<EventHook>>,
     queue_trace: u64,
 }
@@ -512,15 +495,16 @@ impl RemoteScheduler {
     ) -> std::io::Result<RemoteScheduler> {
         let workers = workers.max(1);
         let transport = transport::make_transport(config.transport)?;
+        let leases = LeaseTable::new(config.supervisor);
         let shared = Arc::new(Shared {
             command,
             config,
             transport,
             state: Mutex::new(CoordState {
                 slots: Vec::new(),
-                leases: HashMap::new(),
+                leases,
+                stats: RemoteStats::default(),
                 retired_readers: Vec::new(),
-                next_job: 0,
                 next_generation: 0,
                 next_session: 0,
                 next_epoch: 0,
@@ -533,7 +517,6 @@ impl RemoteScheduler {
             }),
             space: Condvar::new(),
             stopping: AtomicBool::new(false),
-            stats: StatCounters::new(),
             hook: Mutex::new(None),
             queue_trace: trace::fresh_id(),
         });
@@ -543,13 +526,12 @@ impl RemoteScheduler {
             for index in 0..workers {
                 st.next_generation += 1;
                 let generation = st.next_generation;
-                match spawn_worker(&shared, &mut st, index, generation) {
-                    Ok(slot) => st.slots.push(slot),
-                    Err(err) => {
+                let slot =
+                    spawn_worker(&shared, &mut st, index, generation).unwrap_or_else(|err| {
                         spawn_error = Some(err);
-                        st.slots.push(dead_slot(generation));
-                    }
-                }
+                        Slot::new(generation)
+                    });
+                st.slots.push(slot);
             }
         }
         if shared.lock().slots.iter().all(|s| s.child.is_none()) {
@@ -606,23 +588,19 @@ impl RemoteScheduler {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             st = guard;
         }
-        st.next_job += 1;
-        let job_id = st.next_job;
         let trace_id = trace::fresh_id();
         trace::task_submit(trace_id);
-        self.shared.stats.submitted.fetch_add(1, Ordering::SeqCst);
+        st.stats.submitted += 1;
         observe::count("broker.remote_submitted", 1);
+        let timeout = spec.timeout;
         let job = RemoteJob {
             spec,
             report_tx,
-            reported: Arc::new(AtomicBool::new(false)),
-            job_id,
-            delivery: 1,
-            lease_events: Vec::new(),
             first_enqueued: Instant::now(),
             trace_id,
         };
-        enqueue_job(&self.shared, &mut st, job);
+        let job_id = st.leases.submit(timeout, job);
+        enqueue_job(&self.shared, &mut st, job_id);
         pump(&self.shared, &mut st);
         Ok(TaskHandle { receiver, name })
     }
@@ -646,7 +624,7 @@ impl RemoteScheduler {
         }
         st.shutdown = true;
         let deadline = Instant::now() + self.shared.config.drain_deadline;
-        while (st.backlog > 0 || !st.leases.is_empty()) && Instant::now() < deadline {
+        while !st.leases.is_empty() && Instant::now() < deadline {
             let (guard, _) = self
                 .shared
                 .space
@@ -654,27 +632,47 @@ impl RemoteScheduler {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             st = guard;
         }
-        let clean = st.backlog == 0 && st.leases.is_empty();
-        st.drained_clean = clean;
+        let clean = st.leases.is_empty();
+        self.abandon(st, false);
+        clean
+    }
+
+    /// Abandons immediately: discards queued jobs, drops in-flight
+    /// leases (their handles synthesize "scheduler dropped task"
+    /// reports), SIGKILLs every worker, and reaps all child PIDs.
+    /// Returns how many queued jobs were discarded — the side-by-side
+    /// contrast to the draining [`RemoteScheduler::shutdown`].
+    pub fn shutdown_now(&self) -> u64 {
+        let st = self.shared.lock();
+        if st.reaped {
+            return 0;
+        }
+        self.abandon(st, true)
+    }
+
+    /// Ends the scheduler: drops what is still pending, sends every
+    /// worker `Drain` (or, with `kill`, SIGKILLs it), and reaps every
+    /// child PID. Returns how many queued jobs were discarded.
+    fn abandon(&self, mut st: MutexGuard<'_, CoordState>, kill: bool) -> u64 {
+        st.shutdown = true;
         st.abandoned = true;
-        discard_pending(&self.shared, &mut st);
+        st.drained_clean = st.leases.is_empty();
+        let discarded = discard_pending(&mut st);
         let tcp = self.shared.transport.joins();
         for slot in &mut st.slots {
             match slot.writer.as_mut() {
-                Some(writer) => {
-                    let _ = writer
-                        .write_all(&Message::Drain.to_frame())
-                        .and_then(|()| writer.flush());
+                Some(writer) if !kill => {
+                    let _ = write_message(writer, &Message::Drain);
                 }
+                None if !kill && !tcp => {}
                 // A disconnected TCP worker cannot hear the Drain;
                 // kill it so the reap below does not wait out its
                 // whole grace.
-                None if tcp => {
+                _ => {
                     if let Some(child) = slot.child.as_mut() {
                         let _ = child.kill();
                     }
                 }
-                None => {}
             }
             // Dropping the pipe writer closes the worker's stdin, so
             // even a worker that missed the Drain frame exits on EOF.
@@ -685,36 +683,13 @@ impl RemoteScheduler {
         // No further joins: reconnecting workers exhaust their dial
         // budget and exit.
         self.shared.transport.close();
-        self.reap_children(Duration::from_secs(5));
-        self.stop_supervisor();
-        clean
-    }
-
-    /// Abandons immediately: discards queued jobs, drops in-flight
-    /// leases (their handles synthesize "scheduler dropped task"
-    /// reports), SIGKILLs every worker, and reaps all child PIDs.
-    /// Returns how many queued jobs were discarded — the side-by-side
-    /// contrast to the draining [`RemoteScheduler::shutdown`].
-    pub fn shutdown_now(&self) -> u64 {
-        let mut st = self.shared.lock();
-        if st.reaped {
-            return 0;
-        }
-        st.shutdown = true;
-        st.abandoned = true;
-        st.drained_clean = st.backlog == 0 && st.leases.is_empty();
-        let discarded = discard_pending(&self.shared, &mut st);
-        for slot in &mut st.slots {
-            if let Some(child) = slot.child.as_mut() {
-                let _ = child.kill();
-            }
-            slot.writer = None;
-            slot.exiting = true;
-        }
-        drop(st);
-        self.shared.transport.close();
         self.shared.space.notify_all();
-        self.reap_children(Duration::ZERO);
+        let grace = if kill {
+            Duration::ZERO
+        } else {
+            Duration::from_secs(5)
+        };
+        self.reap_children(grace);
         self.stop_supervisor();
         discarded
     }
@@ -722,23 +697,11 @@ impl RemoteScheduler {
     /// Current counters.
     pub fn stats(&self) -> RemoteStats {
         let st = self.shared.lock();
-        let s = &self.shared.stats;
         RemoteStats {
             workers: st.slots.iter().filter(|slot| slot.child.is_some()).count(),
-            submitted: s.submitted.load(Ordering::SeqCst),
-            completed: s.completed.load(Ordering::SeqCst),
-            dropped: s.dropped.load(Ordering::SeqCst),
-            dead_lettered: s.dead_lettered.load(Ordering::SeqCst),
-            redelivered: s.redelivered.load(Ordering::SeqCst),
-            respawns: s.respawns.load(Ordering::SeqCst),
-            frame_errors: s.frame_errors.load(Ordering::SeqCst),
-            chaos_kills: s.chaos_kills.load(Ordering::SeqCst),
-            steals: s.steals.load(Ordering::SeqCst),
-            reconnects: s.reconnects.load(Ordering::SeqCst),
-            partitions: s.partitions.load(Ordering::SeqCst),
-            resume_reconciled: s.resume_reconciled.load(Ordering::SeqCst),
             backlog: st.backlog,
-            in_flight: st.leases.len(),
+            in_flight: st.leases.in_flight(),
+            ..st.stats
         }
     }
 
@@ -798,21 +761,11 @@ impl RemoteScheduler {
 
     fn stop_supervisor(&self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        let handle = self
-            .supervisor
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        let acceptor = self
-            .acceptor
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take();
-        if let Some(acceptor) = acceptor {
-            let _ = acceptor.join();
+        for thread in [&self.supervisor, &self.acceptor] {
+            let handle = thread.lock().unwrap_or_else(|p| p.into_inner()).take();
+            if let Some(handle) = handle {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -834,26 +787,6 @@ impl fmt::Debug for RemoteScheduler {
     }
 }
 
-fn dead_slot(generation: u64) -> Slot {
-    Slot {
-        generation,
-        child: None,
-        writer: None,
-        pid: 0,
-        ready: false,
-        exiting: false,
-        busy: None,
-        last_seen: Instant::now(),
-        queue: VecDeque::new(),
-        reader: None,
-        session: 0,
-        session_trace: 0,
-        conn_epoch: 0,
-        had_conn: false,
-        net_frames: Arc::new(AtomicU64::new(0)),
-    }
-}
-
 fn emit(shared: &Shared, event: RemoteEvent) {
     let hook = shared
         .hook
@@ -863,6 +796,12 @@ fn emit(shared: &Shared, event: RemoteEvent) {
     if let Some(hook) = hook {
         hook(&event);
     }
+}
+
+/// Writes one frame and flushes it.
+fn write_message(writer: &mut (impl Write + ?Sized), message: &Message) -> std::io::Result<()> {
+    writer.write_all(&message.to_frame())?;
+    writer.flush()
 }
 
 /// Spawns a worker process on the configured transport and builds its
@@ -879,23 +818,12 @@ fn spawn_worker(
     st.next_session += 1;
     let session = st.next_session;
     let (child, duplex) = shared.transport.spawn(&shared.command, session)?;
-    let pid = child.id();
     let mut slot = Slot {
-        generation,
+        pid: child.id(),
         child: Some(child),
-        writer: None,
-        pid,
-        ready: false,
-        exiting: false,
-        busy: None,
-        last_seen: Instant::now(),
-        queue: VecDeque::new(),
-        reader: None,
         session,
         session_trace: trace::fresh_id(),
-        conn_epoch: 0,
-        had_conn: false,
-        net_frames: Arc::new(AtomicU64::new(0)),
+        ..Slot::new(generation)
     };
     if let Some(duplex) = duplex {
         st.next_epoch += 1;
@@ -921,36 +849,21 @@ fn reader_loop(
     epoch: u64,
     mut input: Box<dyn Read + Send>,
 ) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 8192];
+    let mut reader = WireReader::new();
     loop {
-        let n = match input.read(&mut buf) {
-            Ok(0) | Err(_) => {
-                // Pipe EOF means a dead process: the supervisor reaps
-                // and respawns. TCP EOF means a dead *connection*: mark
-                // it lost so the session can resume on reconnect.
+        match reader.next(&mut input) {
+            Ok(Some(message)) => handle_message(shared, slot_idx, generation, message),
+            Err(WireError::Corrupt(why)) => {
+                return on_frame_error(shared, slot_idx, generation, epoch, &why);
+            }
+            // Pipe EOF means a dead process: the supervisor reaps and
+            // respawns. TCP EOF means a dead *connection*: mark it lost
+            // so the session can resume on reconnect.
+            Ok(None) | Err(WireError::Io) => {
                 if shared.transport.joins() {
                     conn_lost(shared, slot_idx, generation, epoch);
                 }
                 return;
-            }
-            Ok(n) => n,
-        };
-        decoder.feed(&buf[..n]);
-        loop {
-            match decoder.next_frame() {
-                Ok(None) => break,
-                Ok(Some(payload)) => match Message::decode(&payload) {
-                    Ok(message) => handle_message(shared, slot_idx, generation, message),
-                    Err(err) => {
-                        on_frame_error(shared, slot_idx, generation, epoch, &err.to_string());
-                        return;
-                    }
-                },
-                Err(err) => {
-                    on_frame_error(shared, slot_idx, generation, epoch, &err.to_string());
-                    return;
-                }
             }
         }
     }
@@ -974,7 +887,7 @@ fn conn_lost(shared: &Arc<Shared>, slot_idx: usize, generation: u64, epoch: u64)
     }
     slot.writer = None;
     slot.ready = false;
-    shared.stats.partitions.fetch_add(1, Ordering::SeqCst);
+    st.stats.partitions += 1;
     observe::count("broker.remote_partitions", 1);
     drop(st);
     shared.space.notify_all();
@@ -989,6 +902,38 @@ fn accept_loop(shared: &Arc<Shared>) {
             None => std::thread::sleep(Duration::from_millis(2)),
         }
     }
+}
+
+/// The coordinator's answer to a worker's Hello, for both transports:
+/// a worker speaking another protocol version is killed without
+/// respawn (the same binary would only loop); otherwise the HelloAck
+/// carrying the slot's generation, the heartbeat cadence and the
+/// session token goes out on `writer`. Returns whether the worker is
+/// ready for work.
+fn greet(
+    shared: &Shared,
+    slot: &mut Slot,
+    writer: Option<&mut Box<dyn Write + Send>>,
+    protocol: u64,
+    pid: u64,
+) -> bool {
+    if protocol != PROTOCOL_VERSION {
+        eprintln!(
+            "simart-tasks: worker pid {pid} speaks protocol {protocol}, \
+             coordinator speaks {PROTOCOL_VERSION}; dropping it"
+        );
+        slot.exiting = true;
+        if let Some(child) = slot.child.as_mut() {
+            let _ = child.kill();
+        }
+        return false;
+    }
+    let ack = Message::HelloAck {
+        generation: slot.generation,
+        heartbeat_ms: (shared.config.supervisor.heartbeat.as_millis() as u64).max(1),
+        session: slot.session,
+    };
+    writer.is_some_and(|writer| write_message(writer, &ack).is_ok())
 }
 
 /// Runs the coordinator side of the handshake on a freshly joined
@@ -1031,21 +976,6 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
         // retry budget and exits.
         return;
     };
-    if protocol != PROTOCOL_VERSION {
-        eprintln!(
-            "simart-tasks: worker pid {pid} speaks protocol {protocol}, \
-             coordinator speaks {PROTOCOL_VERSION}; dropping it"
-        );
-        let slot = &mut st.slots[slot_idx];
-        slot.exiting = true; // reap without respawn: same binary would loop
-        if let Some(child) = slot.child.as_mut() {
-            let _ = child.kill();
-        }
-        return;
-    }
-    let generation = st.slots[slot_idx].generation;
-    let resumed = st.slots[slot_idx].had_conn;
-    let _span = resumed.then(|| observe::span(|| "remote.reconnect".to_owned()));
     let chaos = shared
         .config
         .fault
@@ -1069,19 +999,18 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
         }
         None => (duplex.reader, duplex.writer),
     };
-    let heartbeat_ms = (shared.config.supervisor.heartbeat.as_millis() as u64).max(1);
-    let ack = Message::HelloAck {
-        generation,
-        heartbeat_ms,
-        session,
-    };
-    if writer
-        .write_all(&ack.to_frame())
-        .and_then(|()| writer.flush())
-        .is_err()
-    {
-        return; // connection already dead (or chaos reset it): the worker redials
+    let resumed = st.slots[slot_idx].had_conn;
+    let _span = resumed.then(|| observe::span(|| "remote.reconnect".to_owned()));
+    if !greet(
+        shared,
+        &mut st.slots[slot_idx],
+        Some(&mut writer),
+        protocol,
+        pid,
+    ) {
+        return; // refused, or the connection already died (the worker redials)
     }
+    let generation = st.slots[slot_idx].generation;
     st.next_epoch += 1;
     let epoch = st.next_epoch;
     if let Some(old_reader) = st.slots[slot_idx].reader.take() {
@@ -1102,7 +1031,7 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
         slot.reader = Some(reader_handle);
     }
     if resumed {
-        shared.stats.reconnects.fetch_add(1, Ordering::SeqCst);
+        st.stats.reconnects += 1;
         observe::count("broker.remote_reconnects", 1);
         trace::remote_reconnect(session_trace);
         // Reconcile in-flight work: the lease stays granted (the
@@ -1111,13 +1040,10 @@ fn attach_connection(shared: &Arc<Shared>, mut duplex: Duplex) {
         // resolves through lease expiry).
         let reconciled = st.slots[slot_idx]
             .busy
-            .and_then(|job_id| st.leases.get(&job_id))
-            .map(|lease| lease.job.spec.name.clone());
+            .and_then(|job_id| st.leases.leased(job_id))
+            .map(|job| job.spec.name.clone());
         if let Some(task) = reconciled {
-            shared
-                .stats
-                .resume_reconciled
-                .fetch_add(1, Ordering::SeqCst);
+            st.stats.resume_reconciled += 1;
             observe::count("broker.remote_resume_reconciled", 1);
             emit(
                 shared,
@@ -1140,37 +1066,15 @@ fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, messag
         // [`attach_connection`] before its reader thread starts.
         Message::Hello { protocol, pid, .. } => {
             let mut st = shared.lock();
-            if st.slots[slot_idx].generation != generation {
+            let slot = &mut st.slots[slot_idx];
+            if slot.generation != generation {
                 return; // stale reader of a replaced worker
             }
-            if protocol != PROTOCOL_VERSION {
-                eprintln!(
-                    "simart-tasks: worker pid {pid} speaks protocol {protocol}, \
-                     coordinator speaks {PROTOCOL_VERSION}; dropping it"
-                );
-                let slot = &mut st.slots[slot_idx];
-                slot.exiting = true; // reap without respawn: same binary would loop
-                if let Some(child) = slot.child.as_mut() {
-                    let _ = child.kill();
-                }
-                return;
-            }
-            let heartbeat_ms = (shared.config.supervisor.heartbeat.as_millis() as u64).max(1);
-            let ack = Message::HelloAck {
-                generation,
-                heartbeat_ms,
-                session: st.slots[slot_idx].session,
-            };
-            let slot = &mut st.slots[slot_idx];
             slot.last_seen = Instant::now();
-            let sent = match slot.writer.as_mut() {
-                Some(writer) => writer
-                    .write_all(&ack.to_frame())
-                    .and_then(|()| writer.flush())
-                    .is_ok(),
-                None => false,
-            };
-            if sent {
+            let mut writer = slot.writer.take();
+            let ready = greet(shared, slot, writer.as_mut(), protocol, pid);
+            slot.writer = writer;
+            if ready {
                 slot.ready = true;
                 pump(shared, &mut st);
             }
@@ -1181,37 +1085,23 @@ fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, messag
             if st.slots[slot_idx].generation != generation {
                 return;
             }
-            st.slots[slot_idx].last_seen = Instant::now();
+            let now = Instant::now();
+            st.slots[slot_idx].last_seen = now;
             // Lost-dispatch reconciliation: the worker reports which
             // job it is running (0 = idle). Frames on one stream are
             // processed in order, so an *idle* heartbeat arriving a
             // full staleness budget after the lease was granted means
             // the dispatch frame never arrived (a silent one-way
-            // partition ate it) — redeliver now instead of waiting
-            // out the task's full lease.
-            let stale_after = shared.config.supervisor.remote_stale_after();
-            let lost = st.slots[slot_idx].busy.filter(|&job_id| {
-                busy != job_id
-                    && st
-                        .leases
-                        .get(&job_id)
-                        .is_some_and(|lease| lease.granted.elapsed() >= stale_after)
-            });
-            if let Some(job_id) = lost {
+            // partition ate it) — re-send now instead of waiting out
+            // the task's full lease.
+            let lost = st.slots[slot_idx].busy.filter(|&job_id| busy != job_id);
+            let resend =
+                lost.and_then(|job_id| Some((job_id, st.leases.dispatch_lost(job_id, now)?)));
+            if let Some((job_id, job)) = resend {
                 st.slots[slot_idx].busy = None;
-                if let Some(mut lease) = st.leases.remove(&job_id) {
-                    observe::count("broker.remote_lost_dispatches", 1);
-                    trace::lease_revoke(lease.job.trace_id);
-                    lease
-                        .job
-                        .lease_events
-                        .push(format!("delivery:{}:dispatch-lost", lease.job.delivery));
-                    // The job never reached a worker, so this is a
-                    // re-send of the *same* delivery, not a redelivery
-                    // — it spends no budget from the cap (mirroring
-                    // the requeue of a failed pipe dispatch write).
-                    enqueue_job(shared, &mut st, lease.job);
-                }
+                observe::count("broker.remote_lost_dispatches", 1);
+                trace::lease_revoke(job.trace_id);
+                enqueue_job(shared, &mut st, job_id);
                 pump(shared, &mut st);
                 shared.space.notify_all();
             }
@@ -1227,11 +1117,12 @@ fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, messag
             let mut st = shared.lock();
             // First report wins, whatever generation it came from: a
             // stale worker finishing after redelivery still resolves
-            // the job; the duplicate later report finds no lease.
-            if let Some(lease) = st.leases.remove(&job) {
+            // the job; a duplicate later report is stale.
+            if let Some(accepted) = st.leases.complete(job) {
+                st.stats.completed += 1;
                 deliver_ack(
                     shared,
-                    lease,
+                    accepted,
                     delivery as u32,
                     reporter_gen,
                     ok,
@@ -1260,17 +1151,17 @@ fn handle_message(shared: &Arc<Shared>, slot_idx: usize, generation: u64, messag
     }
 }
 
-/// Accepted result → task report (first-report-wins).
+/// Accepted result → task report.
 fn deliver_ack(
-    shared: &Arc<Shared>,
-    lease: RemoteLease,
+    shared: &Shared,
+    accepted: Accepted<RemoteJob>,
     delivery: u32,
     reporter_gen: u64,
     ok: bool,
     output: String,
     error: String,
 ) {
-    let job = lease.job;
+    let job = accepted.job;
     observe::count("broker.remote_acks", 1);
     trace::remote_ack(job.trace_id);
     trace::task_finish(job.trace_id);
@@ -1283,19 +1174,19 @@ fn deliver_ack(
         },
     );
     let report = TaskReport {
-        name: job.spec.name.clone(),
+        name: job.spec.name,
         state: if ok {
             TaskState::Succeeded
         } else {
             TaskState::Failed
         },
-        output: if ok { Some(output) } else { None },
-        error: if ok { None } else { Some(error) },
+        output: ok.then_some(output),
+        error: (!ok).then_some(error),
         attempts: 1,
         duration: job.first_enqueued.elapsed(),
         detached: false,
         history: vec![AttemptRecord {
-            index: job.delivery,
+            index: accepted.redeliveries + 1,
             disposition: if ok {
                 AttemptDisposition::Succeeded
             } else {
@@ -1303,23 +1194,20 @@ fn deliver_ack(
             },
             delay_before: Duration::ZERO,
         }],
-        redeliveries: job.delivery - 1,
-        lease_events: job.lease_events,
+        redeliveries: accepted.redeliveries,
+        lease_events: accepted.lease_events,
     };
-    if !job.reported.swap(true, Ordering::SeqCst) {
-        let _ = job.report_tx.send(report);
-        shared.stats.completed.fetch_add(1, Ordering::SeqCst);
-    }
+    let _ = job.report_tx.send(report);
 }
 
-/// Satellite: a torn or corrupt frame must never wedge the
-/// coordinator. Log it, kill + reap the worker, revoke its lease
-/// (redelivering the task), and respawn — the pipe-level mirror of
-/// the journal's torn-tail tolerance.
+/// A torn or corrupt frame must never wedge the coordinator. Log it,
+/// kill + reap the worker, revoke its lease (redelivering the task),
+/// and respawn — the pipe-level mirror of the journal's torn-tail
+/// tolerance.
 fn on_frame_error(shared: &Arc<Shared>, slot_idx: usize, generation: u64, epoch: u64, why: &str) {
-    shared.stats.frame_errors.fetch_add(1, Ordering::SeqCst);
-    observe::count("broker.remote_frame_errors", 1);
     let mut st = shared.lock();
+    st.stats.frame_errors += 1;
+    observe::count("broker.remote_frame_errors", 1);
     if st.slots[slot_idx].generation != generation || st.slots[slot_idx].conn_epoch != epoch {
         return;
     }
@@ -1328,30 +1216,53 @@ fn on_frame_error(shared: &Arc<Shared>, slot_idx: usize, generation: u64, epoch:
          killing and respawning it",
         st.slots[slot_idx].pid
     );
-    recycle_slot(shared, &mut st, slot_idx, "torn-frame");
+    recycle_slot(shared, &mut st, slot_idx, Cause::TornFrame);
     pump(shared, &mut st);
     shared.space.notify_all();
 }
 
 /// Kills, reaps, and (unless abandoned) respawns a slot's worker,
-/// recovering any lease it held with the given cause.
-fn recycle_slot(shared: &Arc<Shared>, st: &mut CoordState, slot_idx: usize, cause: &str) {
+/// revoking any lease it held with the given cause.
+fn recycle_slot(shared: &Arc<Shared>, st: &mut CoordState, slot_idx: usize, cause: Cause) {
     if let Some(child) = st.slots[slot_idx].child.as_mut() {
         let _ = child.kill();
     }
     if let Some(mut child) = st.slots[slot_idx].child.take() {
         let _ = child.wait(); // immediate after SIGKILL; reaps the PID
     }
-    st.slots[slot_idx].writer = None;
-    st.slots[slot_idx].ready = false;
-    let busy = st.slots[slot_idx].busy.take();
-    if let Some(job_id) = busy {
-        if let Some(lease) = st.leases.remove(&job_id) {
-            recover_lease(shared, st, lease, cause);
-        }
-    }
+    worker_gone(shared, st, slot_idx, cause);
     if !st.abandoned {
         respawn_slot(shared, st, slot_idx);
+    }
+}
+
+/// A slot's worker process is gone (already reaped): detach its
+/// connection and revoke the lease its generation held.
+fn worker_gone(shared: &Shared, st: &mut CoordState, slot_idx: usize, cause: Cause) {
+    let slot = &mut st.slots[slot_idx];
+    slot.writer = None;
+    slot.ready = false;
+    slot.busy = None;
+    let owner = slot.generation;
+    for (job_id, verdict) in st.leases.owner_lost(owner, cause) {
+        match verdict {
+            Verdict::Redeliver { job, delivery } => {
+                trace::lease_revoke(job.trace_id);
+                st.stats.redelivered += 1;
+                observe::count("broker.remote_redelivered", 1);
+                trace::task_requeue(job.trace_id);
+                emit(
+                    shared,
+                    RemoteEvent::Redelivered {
+                        task: job.spec.name,
+                        delivery: delivery - 1,
+                        cause: cause.to_string(),
+                    },
+                );
+                enqueue_job(shared, st, job_id);
+            }
+            Verdict::DeadLetter(letter) => dead_letter(shared, st, letter, cause),
+        }
     }
 }
 
@@ -1367,127 +1278,44 @@ fn respawn_slot(shared: &Arc<Shared>, st: &mut CoordState, slot_idx: usize) {
     // session token is retired, so a zombie connection of the killed
     // process can never attach to the new slot.
     let queue = std::mem::take(&mut st.slots[slot_idx].queue);
-    match spawn_worker(shared, st, slot_idx, generation) {
-        Ok(mut slot) => {
-            slot.queue = queue;
-            st.slots[slot_idx] = slot;
-            shared.stats.respawns.fetch_add(1, Ordering::SeqCst);
+    let mut slot = match spawn_worker(shared, st, slot_idx, generation) {
+        Ok(slot) => {
+            st.stats.respawns += 1;
             observe::count("broker.remote_respawns", 1);
+            slot
         }
         Err(err) => {
             eprintln!("simart-tasks: failed to respawn remote worker: {err}");
-            let mut dead = dead_slot(generation);
-            dead.queue = queue;
-            st.slots[slot_idx] = dead;
+            Slot::new(generation)
         }
-    }
-}
-
-/// Broker-contract lease recovery: record the `delivery:<n>:<cause>`
-/// event, then redeliver (cap permitting) or dead-letter.
-fn recover_lease(shared: &Arc<Shared>, st: &mut CoordState, mut lease: RemoteLease, cause: &str) {
-    trace::lease_revoke(lease.job.trace_id);
-    lease
-        .job
-        .lease_events
-        .push(format!("delivery:{}:{}", lease.job.delivery, cause));
-    let cap = shared.config.supervisor.max_redeliveries;
-    let redeliveries_so_far = lease.job.delivery - 1;
-    if redeliveries_so_far >= cap {
-        dead_letter(shared, st, lease.job, cause);
-        return;
-    }
-    shared.stats.redelivered.fetch_add(1, Ordering::SeqCst);
-    observe::count("broker.remote_redelivered", 1);
-    trace::task_requeue(lease.job.trace_id);
-    emit(
-        shared,
-        RemoteEvent::Redelivered {
-            task: lease.job.spec.name.clone(),
-            delivery: lease.job.delivery,
-            cause: cause.to_owned(),
-        },
-    );
-    let mut job = lease.job;
-    job.delivery += 1;
-    enqueue_job(shared, st, job);
-}
-
-/// Terminal failure classification, mirroring the in-process broker's
-/// dead-letter mapping: exhausted redeliveries quarantine, a dead
-/// worker with no redelivery budget fails, an expired lease with no
-/// budget times out.
-fn dead_letter(shared: &Arc<Shared>, _st: &mut CoordState, job: RemoteJob, cause: &str) {
-    let cap = shared.config.supervisor.max_redeliveries;
-    let redeliveries = job.delivery - 1;
-    let (state, error) = if redeliveries > 0 {
-        (
-            TaskState::Quarantined,
-            format!(
-                "task quarantined: redelivery cap ({cap}) exhausted after {} deliveries \
-                 (last cause: {cause})",
-                job.delivery
-            ),
-        )
-    } else if cause == "lease-expired" {
-        (
-            TaskState::TimedOut,
-            format!(
-                "task lease expired (timeout {:?} + grace {:?}); no redeliveries allowed",
-                job.spec.timeout, shared.config.supervisor.grace
-            ),
-        )
-    } else if cause == "no-workers" {
-        (
-            TaskState::Failed,
-            "no live worker processes remain; task cannot be delivered".to_owned(),
-        )
-    } else if cause == "workers-unreachable" {
-        (
-            TaskState::Failed,
-            format!(
-                "no remote worker reachable past the unreachable deadline ({:?}); \
-                 the coordinator degraded loudly instead of hanging",
-                shared.config.unreachable_deadline
-            ),
-        )
-    } else {
-        (
-            TaskState::Failed,
-            format!(
-                "worker process died holding the task lease ({cause}); no redeliveries allowed"
-            ),
-        )
     };
+    slot.queue = queue;
+    st.slots[slot_idx] = slot;
+}
+
+/// Reports a job the lease table ended.
+fn dead_letter(shared: &Shared, st: &mut CoordState, letter: DeadLetter<RemoteJob>, cause: Cause) {
+    if letter.leased {
+        trace::lease_revoke(letter.job.trace_id);
+    }
+    st.stats.dead_lettered += 1;
     observe::count("broker.remote_dead_letters", 1);
-    trace::task_finish(job.trace_id);
+    trace::task_finish(letter.job.trace_id);
+    let name = letter.job.spec.name.clone();
     emit(
         shared,
         RemoteEvent::DeadLettered {
-            task: job.spec.name.clone(),
-            cause: cause.to_owned(),
+            task: name.clone(),
+            cause: cause.to_string(),
         },
     );
-    let report = TaskReport {
-        name: job.spec.name.clone(),
-        state,
-        output: None,
-        error: Some(error),
-        attempts: 0,
-        duration: job.first_enqueued.elapsed(),
-        detached: false,
-        history: Vec::new(),
-        redeliveries,
-        lease_events: job.lease_events,
-    };
-    if !job.reported.swap(true, Ordering::SeqCst) {
-        let _ = job.report_tx.send(report);
-    }
-    shared.stats.dead_lettered.fetch_add(1, Ordering::SeqCst);
+    let duration = letter.job.first_enqueued.elapsed();
+    let (report, job) = letter.into_report(name, duration);
+    let _ = job.report_tx.send(report);
 }
 
-/// Queues a job on the live slot with the shortest queue.
-fn enqueue_job(shared: &Arc<Shared>, st: &mut CoordState, job: RemoteJob) {
+/// Queues a job id on the live slot with the shortest queue.
+fn enqueue_job(shared: &Shared, st: &mut CoordState, job_id: u64) {
     trace::enqueue(shared.queue_trace);
     let target = st
         .slots
@@ -1497,21 +1325,21 @@ fn enqueue_job(shared: &Arc<Shared>, st: &mut CoordState, job: RemoteJob) {
         .min_by_key(|(_, s)| s.queue.len())
         .map(|(i, _)| i)
         .unwrap_or(0);
-    st.slots[target].queue.push_back(job);
+    st.slots[target].queue.push_back(job_id);
     st.backlog += 1;
 }
 
 /// Gives every idle, ready worker a job — from its own queue first,
 /// else stolen from the longest peer queue.
-fn pump(shared: &Arc<Shared>, st: &mut CoordState) {
+fn pump(shared: &Shared, st: &mut CoordState) {
     for i in 0..st.slots.len() {
         loop {
             let slot = &st.slots[i];
             if slot.child.is_none() || !slot.ready || slot.exiting || slot.busy.is_some() {
                 break;
             }
-            let job = match st.slots[i].queue.pop_front() {
-                Some(job) => job,
+            let job_id = match st.slots[i].queue.pop_front() {
+                Some(job_id) => job_id,
                 None => {
                     let victim = st
                         .slots
@@ -1523,10 +1351,10 @@ fn pump(shared: &Arc<Shared>, st: &mut CoordState) {
                         .map(|(j, _)| j);
                     match victim {
                         Some(j) => {
-                            shared.stats.steals.fetch_add(1, Ordering::SeqCst);
+                            st.stats.steals += 1;
                             observe::count("broker.remote_steals", 1);
                             match st.slots[j].queue.pop_back() {
-                                Some(job) => job,
+                                Some(job_id) => job_id,
                                 None => break,
                             }
                         }
@@ -1536,22 +1364,26 @@ fn pump(shared: &Arc<Shared>, st: &mut CoordState) {
             };
             st.backlog -= 1;
             trace::dequeue(shared.queue_trace);
-            if !dispatch(shared, st, i, job) {
+            if !dispatch(shared, st, i, job_id) {
                 break;
             }
         }
     }
 }
 
-/// Writes a dispatch frame to slot `i` and registers the lease.
-/// Returns `false` when the worker's pipe was broken (the job is
-/// requeued and the worker left for the supervisor to recycle).
-fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize, job: RemoteJob) -> bool {
+/// Writes a dispatch frame to slot `i` and takes the lease. Returns
+/// `false` when the worker's connection was broken (the job is
+/// requeued and the worker left for the supervisor to recycle); a
+/// job that already ended while queued is skipped.
+fn dispatch(shared: &Shared, st: &mut CoordState, i: usize, job_id: u64) -> bool {
+    let Some((delivery, job)) = st.leases.pending(job_id) else {
+        return true; // a straggler reported it while it waited
+    };
     let generation = st.slots[i].generation;
     let pid = st.slots[i].pid;
     let message = Message::Dispatch {
-        job: job.job_id,
-        delivery: u64::from(job.delivery),
+        job: job_id,
+        delivery: u64::from(delivery),
         generation,
         name: job.spec.name.clone(),
         kind: job.spec.kind.clone(),
@@ -1559,21 +1391,18 @@ fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize, job: RemoteJob)
         timeout_ms: job.spec.timeout.map_or(0, |t| t.as_millis() as u64),
     };
     let written = match st.slots[i].writer.as_mut() {
-        Some(writer) => writer
-            .write_all(&message.to_frame())
-            .and_then(|()| writer.flush())
-            .is_ok(),
+        Some(writer) => write_message(writer, &message).is_ok(),
         None => false,
     };
     if !written {
-        st.slots[i].queue.push_front(job);
+        st.slots[i].queue.push_front(job_id);
         st.backlog += 1;
         if shared.transport.joins() {
             // The connection broke, not (necessarily) the process:
             // drop it and let the session resume on redial.
             if st.slots[i].writer.take().is_some() {
                 st.slots[i].ready = false;
-                shared.stats.partitions.fetch_add(1, Ordering::SeqCst);
+                st.stats.partitions += 1;
                 observe::count("broker.remote_partitions", 1);
             }
         } else if let Some(child) = st.slots[i].child.as_mut() {
@@ -1592,33 +1421,21 @@ fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize, job: RemoteJob)
         shared,
         RemoteEvent::Dispatched {
             task: job.spec.name.clone(),
-            delivery: job.delivery,
+            delivery,
             generation,
             pid,
         },
     );
     let chaos_kill = shared.config.fault.as_ref().is_some_and(|injector| {
         matches!(
-            injector.take_worker_fault(&job.spec.name, job.delivery),
+            injector.take_worker_fault(&job.spec.name, delivery),
             Some(Fault::WorkerKill)
         )
     });
-    let deadline = job
-        .spec
-        .timeout
-        .map(|t| Instant::now() + t + shared.config.supervisor.grace);
-    let job_id = job.job_id;
     st.slots[i].busy = Some(job_id);
-    st.leases.insert(
-        job_id,
-        RemoteLease {
-            job,
-            deadline,
-            granted: Instant::now(),
-        },
-    );
+    st.leases.grant(job_id, generation, Instant::now());
     if chaos_kill {
-        shared.stats.chaos_kills.fetch_add(1, Ordering::SeqCst);
+        st.stats.chaos_kills += 1;
         observe::count("broker.remote_kills", 1);
         if let Some(child) = st.slots[i].child.as_mut() {
             let _ = child.kill(); // a real SIGKILL to a real PID
@@ -1629,20 +1446,31 @@ fn dispatch(shared: &Arc<Shared>, st: &mut CoordState, i: usize, job: RemoteJob)
 
 /// Drops every queued job and live lease without a report (handles
 /// synthesize "scheduler dropped task"). Returns the queued count.
-fn discard_pending(shared: &Arc<Shared>, st: &mut CoordState) -> u64 {
-    let mut discarded = 0u64;
+fn discard_pending(st: &mut CoordState) -> u64 {
+    let leases = &st.leases;
+    let discarded = st
+        .slots
+        .iter_mut()
+        .flat_map(|slot| slot.queue.drain(..))
+        .filter(|&job_id| leases.pending(job_id).is_some())
+        .count() as u64;
+    st.backlog = 0;
+    st.leases.clear();
+    st.stats.dropped += discarded;
+    discarded
+}
+
+/// Dead-letters every queued and in-flight job for a terminal `cause`
+/// (no worker can take them).
+fn strand_all(shared: &Shared, st: &mut CoordState, cause: Cause) {
     for slot in &mut st.slots {
-        while let Some(job) = slot.queue.pop_front() {
-            discarded += 1;
-            drop(job);
-        }
+        slot.busy = None;
+        slot.queue.clear();
     }
     st.backlog = 0;
-    for (_, lease) in st.leases.drain() {
-        drop(lease);
+    for letter in st.leases.strand_all(cause) {
+        dead_letter(shared, st, letter, cause);
     }
-    shared.stats.dropped.fetch_add(discarded, Ordering::SeqCst);
-    discarded
 }
 
 /// The supervisor thread: ticks on the configured heartbeat, reaping
@@ -1674,6 +1502,7 @@ fn supervise_loop(shared: &Arc<Shared>) {
 fn tick(shared: &Arc<Shared>, st: &mut CoordState) {
     let now = Instant::now();
     let stale_after = shared.config.supervisor.remote_stale_after();
+    let expired = st.leases.expired_owners(now);
     for i in 0..st.slots.len() {
         let exited = match st.slots[i].child.as_mut() {
             Some(child) => matches!(child.try_wait(), Ok(Some(_))),
@@ -1681,17 +1510,9 @@ fn tick(shared: &Arc<Shared>, st: &mut CoordState) {
         };
         if exited {
             // try_wait() already reaped the PID; drop the handle.
-            let was_exiting = st.slots[i].exiting;
             st.slots[i].child = None;
-            st.slots[i].writer = None;
-            st.slots[i].ready = false;
-            let busy = st.slots[i].busy.take();
-            if let Some(job_id) = busy {
-                if let Some(lease) = st.leases.remove(&job_id) {
-                    recover_lease(shared, st, lease, "worker-died");
-                }
-            }
-            if !was_exiting && !st.abandoned {
+            worker_gone(shared, st, i, Cause::WorkerDied);
+            if !st.slots[i].exiting && !st.abandoned {
                 respawn_slot(shared, st, i);
             }
             continue;
@@ -1700,74 +1521,36 @@ fn tick(shared: &Arc<Shared>, st: &mut CoordState) {
         if slot.child.is_none() || !slot.ready || slot.exiting {
             continue;
         }
-        let lease_expired = slot.busy.is_some_and(|job_id| {
-            st.leases
-                .get(&job_id)
-                .and_then(|lease| lease.deadline)
-                .is_some_and(|deadline| now >= deadline)
-        });
-        let heartbeat_lost = now.duration_since(slot.last_seen) >= stale_after;
-        if lease_expired {
-            recycle_slot(shared, st, i, "lease-expired");
-        } else if heartbeat_lost {
-            recycle_slot(shared, st, i, "heartbeat-lost");
+        if expired.contains(&slot.generation) {
+            recycle_slot(shared, st, i, Cause::LeaseExpired);
+        } else if now.duration_since(slot.last_seen) >= stale_after {
+            recycle_slot(shared, st, i, Cause::HeartbeatLost);
         }
     }
-    if !st.abandoned && st.backlog > 0 && st.slots.iter().all(|s| s.child.is_none()) {
+    if !st.abandoned && !st.leases.is_empty() && st.slots.iter().all(|s| s.child.is_none()) {
         // Every spawn has failed: fail queued work fast instead of
         // letting submitters hang forever.
-        let mut stranded = Vec::new();
-        for slot in &mut st.slots {
-            while let Some(job) = slot.queue.pop_front() {
-                stranded.push(job);
-            }
-        }
-        st.backlog = 0;
-        for job in stranded {
-            dead_letter(shared, st, job, "no-workers");
-        }
+        strand_all(shared, st, Cause::NoWorkers);
     }
     // Loud degradation: work is pending but no worker is reachable
     // (children may be alive yet disconnected — a total partition).
     // Past the deadline, fail everything queued *and* in flight
     // rather than hanging silently.
-    let pending = st.backlog > 0 || !st.leases.is_empty();
     let any_ready = st
         .slots
         .iter()
         .any(|s| s.child.is_some() && s.ready && !s.exiting);
-    if !st.abandoned && pending && !any_ready {
+    if !st.abandoned && !st.leases.is_empty() && !any_ready {
         let since = *st.unreachable_since.get_or_insert(now);
-        if now.duration_since(since) >= shared.config.unreachable_deadline {
+        let deadline = shared.config.unreachable_deadline;
+        if now.duration_since(since) >= deadline {
             eprintln!(
-                "simart-tasks: no remote worker reachable for {:?} with {} queued and {} \
+                "simart-tasks: no remote worker reachable for {deadline:?} with {} queued and {} \
                  in-flight jobs; failing them (workers-unreachable)",
-                shared.config.unreachable_deadline,
                 st.backlog,
-                st.leases.len()
+                st.leases.in_flight()
             );
-            let mut stranded = Vec::new();
-            for slot in &mut st.slots {
-                slot.busy = None;
-                while let Some(job) = slot.queue.pop_front() {
-                    stranded.push(job);
-                }
-            }
-            st.backlog = 0;
-            let in_flight: Vec<u64> = st.leases.keys().copied().collect();
-            for job_id in in_flight {
-                if let Some(mut lease) = st.leases.remove(&job_id) {
-                    trace::lease_revoke(lease.job.trace_id);
-                    lease.job.lease_events.push(format!(
-                        "delivery:{}:workers-unreachable",
-                        lease.job.delivery
-                    ));
-                    stranded.push(lease.job);
-                }
-            }
-            for job in stranded {
-                dead_letter(shared, st, job, "workers-unreachable");
-            }
+            strand_all(shared, st, Cause::WorkersUnreachable(deadline));
             st.unreachable_since = None;
         }
     } else {
@@ -1850,6 +1633,16 @@ impl fmt::Debug for HandlerRegistry {
     }
 }
 
+/// Why a [`WireReader`] stopped.
+enum WireError {
+    /// Reading the stream failed.
+    Io,
+    /// A frame or message failed to decode.
+    Corrupt(String),
+}
+
+/// Frame-by-frame message reader over a byte stream (both sides of
+/// the protocol).
 struct WireReader {
     decoder: FrameDecoder,
     buf: [u8; 8192],
@@ -1863,89 +1656,103 @@ impl WireReader {
         }
     }
 
-    /// `Ok(None)` on EOF, `Err(())` on a corrupt stream.
-    fn next(&mut self, input: &mut impl Read) -> Result<Option<Message>, ()> {
+    /// The next message; `Ok(None)` on EOF.
+    fn next(&mut self, input: &mut impl Read) -> Result<Option<Message>, WireError> {
         loop {
-            match self.decoder.next_frame() {
-                Ok(Some(payload)) => return Message::decode(&payload).map(Some).map_err(|_| ()),
-                Err(_) => return Err(()),
-                Ok(None) => {}
+            let corrupt = |err: &dyn fmt::Display| WireError::Corrupt(err.to_string());
+            if let Some(payload) = self.decoder.next_frame().map_err(|e| corrupt(&e))? {
+                return Message::decode(&payload).map(Some).map_err(|e| corrupt(&e));
             }
             match input.read(&mut self.buf) {
                 Ok(0) => return Ok(None),
                 Ok(n) => self.decoder.feed(&self.buf[..n]),
-                Err(_) => return Err(()),
+                Err(_) => return Err(WireError::Io),
             }
         }
     }
 }
 
 fn send_frame<W: Write>(out: &Mutex<W>, message: &Message) -> std::io::Result<()> {
-    let mut out = out.lock().unwrap_or_else(|p| p.into_inner());
-    out.write_all(&message.to_frame())?;
-    out.flush()
+    write_message(&mut *out.lock().unwrap_or_else(|p| p.into_inner()), message)
 }
 
-/// Runs the worker side of the protocol on this process's
-/// stdin/stdout until the coordinator drains it or goes away.
-/// Returns the process exit code: `0` for a graceful end (drain or
-/// coordinator EOF), non-zero for a corrupt stream or handshake
-/// failure.
-///
-/// The worker says [`Message::Hello`], waits for the
-/// [`Message::HelloAck`] carrying its generation and heartbeat
-/// cadence, then loops: heartbeats from a background thread, one
-/// [`Message::TaskResult`] per [`Message::Dispatch`] (handler panics
-/// are contained and reported as errors), and a [`Message::Bye`] in
-/// answer to [`Message::Drain`].
-///
-/// Nothing else in the process may write to stdout — the byte stream
-/// *is* the protocol.
-pub fn worker_main(registry: &HandlerRegistry) -> i32 {
-    let stdout = Arc::new(Mutex::new(std::io::stdout()));
+/// How a worker session ended.
+#[derive(Clone, Copy)]
+enum SessionEnd {
+    /// Answered the coordinator's Drain with Bye.
+    Drained,
+    /// The coordinator closed the stream.
+    Eof,
+    /// A corrupt frame, an unexpected handshake reply, or a read error.
+    Corrupt,
+    /// A frame could not be sent.
+    SendFailed,
+}
+
+/// One connection's worth of the worker protocol, on either transport:
+/// says Hello (presenting `session`), waits for the HelloAck, re-sends
+/// the result in `pending` that an earlier connection failed to carry,
+/// then heartbeats from a background thread and answers each Dispatch
+/// with one TaskResult until Drain, EOF or an error. A result that
+/// fails to send is left in `pending`. `handshook` runs once the
+/// HelloAck arrived; the returned flag says whether it did.
+fn run_session<W: Write + Send + 'static>(
+    registry: &HandlerRegistry,
+    mut input: impl Read,
+    output: W,
+    session: u64,
+    pending: &mut Option<Message>,
+    handshook: impl FnOnce(),
+) -> (bool, SessionEnd) {
     let pid = u64::from(std::process::id());
-    if send_frame(
-        &stdout,
-        &Message::Hello {
-            protocol: PROTOCOL_VERSION,
-            pid,
-            session: 0, // pipes have no reconnect, hence no session
-        },
-    )
-    .is_err()
-    {
-        return 1;
+    let output = Arc::new(Mutex::new(output));
+    let hello = Message::Hello {
+        protocol: PROTOCOL_VERSION,
+        pid,
+        session,
+    };
+    if send_frame(&output, &hello).is_err() {
+        return (false, SessionEnd::SendFailed);
     }
-    let mut stdin = std::io::stdin();
     let mut reader = WireReader::new();
-    let (generation, heartbeat_ms) = match reader.next(&mut stdin) {
+    let (generation, heartbeat_ms) = match reader.next(&mut input) {
         Ok(Some(Message::HelloAck {
             generation,
             heartbeat_ms,
             ..
         })) => (generation, heartbeat_ms),
-        Ok(None) => return 0, // coordinator vanished before the handshake
-        _ => return 2,
+        Ok(None) => return (false, SessionEnd::Eof),
+        _ => return (false, SessionEnd::Corrupt),
     };
-    let busy = Arc::new(AtomicU64::new(0));
-    {
-        let stdout = Arc::clone(&stdout);
-        let busy = Arc::clone(&busy);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(Duration::from_millis(heartbeat_ms.max(1)));
-            let beat = Message::Heartbeat {
-                pid,
-                busy: busy.load(Ordering::SeqCst),
-            };
-            if send_frame(&stdout, &beat).is_err() {
-                return; // coordinator gone; main loop sees EOF
-            }
-        });
+    handshook();
+    if let Some(reply) = pending.as_ref() {
+        if send_frame(&output, reply).is_err() {
+            return (true, SessionEnd::SendFailed);
+        }
     }
-    loop {
-        match reader.next(&mut stdin) {
-            Ok(None) => return 0,
-            Err(()) => return 2,
+    *pending = None;
+    let busy = Arc::new(AtomicU64::new(0));
+    // Dropping `stop` ends the heartbeat thread at once.
+    let (stop, stopped) = bounded::<()>(0);
+    let heartbeats = {
+        let (output, busy) = (Arc::clone(&output), Arc::clone(&busy));
+        let interval = Duration::from_millis(heartbeat_ms.max(1));
+        std::thread::spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                let beat = Message::Heartbeat {
+                    pid,
+                    busy: busy.load(Ordering::SeqCst),
+                };
+                if send_frame(&output, &beat).is_err() {
+                    return; // coordinator gone; the session loop sees EOF
+                }
+            }
+        })
+    };
+    let end = loop {
+        match reader.next(&mut input) {
+            Ok(None) => break SessionEnd::Eof,
+            Err(_) => break SessionEnd::Corrupt,
             Ok(Some(Message::Dispatch {
                 job,
                 delivery,
@@ -1963,9 +1770,8 @@ pub fn worker_main(registry: &HandlerRegistry) -> i32 {
                     delivery: delivery as u32,
                     generation,
                 };
-                let result = registry.run(&work);
-                let (ok, output, error) = match result {
-                    Ok(output) => (true, output, String::new()),
+                let (ok, result, error) = match registry.run(&work) {
+                    Ok(result) => (true, result, String::new()),
                     Err(error) => (false, String::new(), error),
                 };
                 let reply = Message::TaskResult {
@@ -1973,39 +1779,59 @@ pub fn worker_main(registry: &HandlerRegistry) -> i32 {
                     delivery,
                     generation,
                     ok,
-                    output,
+                    output: result,
                     error,
                 };
-                let sent = send_frame(&stdout, &reply);
+                let sent = send_frame(&output, &reply);
                 // Only report idle once the result is on the wire: an
                 // idle heartbeat overtaking the result would read as a
                 // lost dispatch to the coordinator.
                 busy.store(0, Ordering::SeqCst);
                 if sent.is_err() {
-                    return 1;
+                    *pending = Some(reply);
+                    break SessionEnd::SendFailed;
                 }
             }
             Ok(Some(Message::Drain)) => {
-                let _ = send_frame(&stdout, &Message::Bye { pid });
-                return 0;
+                let _ = send_frame(&output, &Message::Bye { pid });
+                break SessionEnd::Drained;
             }
             Ok(Some(_)) => {}
         }
+    };
+    drop(stop);
+    let _ = heartbeats.join();
+    (true, end)
+}
+
+/// Runs the worker side of the protocol on this process's
+/// stdin/stdout until the coordinator drains it or goes away.
+/// Returns the process exit code: `0` for a graceful end (drain or
+/// coordinator EOF), `1` when a frame cannot be sent, `2` for a
+/// corrupt stream or handshake failure.
+///
+/// The worker says [`Message::Hello`], waits for the
+/// [`Message::HelloAck`] carrying its generation and heartbeat
+/// cadence, then loops: heartbeats from a background thread, one
+/// [`Message::TaskResult`] per [`Message::Dispatch`] (handler panics
+/// are contained and reported as errors), and a [`Message::Bye`] in
+/// answer to [`Message::Drain`].
+///
+/// Nothing else in the process may write to stdout — the byte stream
+/// *is* the protocol.
+pub fn worker_main(registry: &HandlerRegistry) -> i32 {
+    // Pipes have no reconnect, hence no session and nothing pending.
+    let stdio = (std::io::stdin(), std::io::stdout());
+    match run_session(registry, stdio.0, stdio.1, 0, &mut None, || {}).1 {
+        SessionEnd::Drained | SessionEnd::Eof => 0,
+        SessionEnd::SendFailed => 1,
+        SessionEnd::Corrupt => 2,
     }
 }
 
 /// How many consecutive failed dials (or failed handshakes) a TCP
 /// worker tolerates before giving up and exiting.
 const MAX_DIAL_FAILURES: u32 = 8;
-
-enum SessionEnd {
-    /// The coordinator drained us: exit gracefully.
-    Drained,
-    /// The connection died. `handshook` distinguishes a session that
-    /// was live (reset the failure budget and redial immediately)
-    /// from a dial that never completed the handshake (burn budget).
-    Lost { handshook: bool },
-}
 
 /// Runs the worker side of the protocol over TCP: dials `addr`,
 /// presents the session token from [`WORKER_SESSION_ENV`] in its
@@ -2040,142 +1866,30 @@ pub fn worker_main_connect(registry: &HandlerRegistry, addr: &str) -> i32 {
         // delay_before(1) is zero: the first dial (and the redial
         // right after a live session drops) is immediate.
         std::thread::sleep(backoff.delay_before(failures + 1));
-        let stream = match TcpStream::connect(addr) {
-            Ok(stream) => stream,
-            Err(_) => {
-                failures += 1;
-                continue;
-            }
+        let Ok(stream) = TcpStream::connect(addr) else {
+            failures += 1;
+            continue;
         };
         let _ = stream.set_nodelay(true);
-        match run_connected_session(registry, &stream, session, &mut pending) {
-            SessionEnd::Drained => return 0,
-            SessionEnd::Lost { handshook: true } => failures = 1,
-            SessionEnd::Lost { handshook: false } => failures += 1,
+        let (Ok(input), Ok(output)) = (stream.try_clone(), stream.try_clone()) else {
+            failures += 1;
+            continue;
+        };
+        // Handshake under a read timeout: a HelloAck lost to a chaos
+        // partition must not wedge the worker forever. EOF and corrupt
+        // streams end the connection, not the process: chaos-corrupted
+        // coordinator frames are healed by a reconnect.
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+        let end = run_session(registry, input, output, session, &mut pending, || {
+            let _ = stream.set_read_timeout(None);
+        });
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        match end {
+            (_, SessionEnd::Drained) => return 0,
+            (true, _) => failures = 1,
+            (false, _) => failures += 1,
         }
     }
-}
-
-/// One connection's worth of the TCP worker protocol; see
-/// [`worker_main_connect`]. `pending` carries an unsent result across
-/// connections.
-fn run_connected_session(
-    registry: &HandlerRegistry,
-    stream: &TcpStream,
-    session: u64,
-    pending: &mut Option<Message>,
-) -> SessionEnd {
-    let pid = u64::from(std::process::id());
-    let (writer, mut input) = match (stream.try_clone(), stream.try_clone()) {
-        (Ok(writer), Ok(input)) => (Arc::new(Mutex::new(writer)), input),
-        _ => return SessionEnd::Lost { handshook: false },
-    };
-    let hello = Message::Hello {
-        protocol: PROTOCOL_VERSION,
-        pid,
-        session,
-    };
-    if send_frame(&writer, &hello).is_err() {
-        return SessionEnd::Lost { handshook: false };
-    }
-    // Handshake under a read timeout: a HelloAck lost to a chaos
-    // partition must not wedge the worker forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut reader = WireReader::new();
-    let (generation, heartbeat_ms) = match reader.next(&mut input) {
-        Ok(Some(Message::HelloAck {
-            generation,
-            heartbeat_ms,
-            ..
-        })) => (generation, heartbeat_ms),
-        _ => return SessionEnd::Lost { handshook: false },
-    };
-    let _ = stream.set_read_timeout(None);
-    // Resume: re-send the result the previous connection failed to
-    // deliver before taking new work.
-    if let Some(reply) = pending.as_ref() {
-        if send_frame(&writer, reply).is_err() {
-            return SessionEnd::Lost { handshook: true };
-        }
-    }
-    *pending = None;
-    let busy = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let heartbeats = {
-        let writer = Arc::clone(&writer);
-        let busy = Arc::clone(&busy);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(Duration::from_millis(heartbeat_ms.max(1)));
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            let beat = Message::Heartbeat {
-                pid,
-                busy: busy.load(Ordering::SeqCst),
-            };
-            if send_frame(&writer, &beat).is_err() {
-                return; // connection gone; main loop sees EOF
-            }
-        })
-    };
-    let end = loop {
-        match reader.next(&mut input) {
-            // EOF *and* corrupt streams end the connection, not the
-            // process: chaos-corrupted coordinator frames are healed
-            // by a reconnect.
-            Ok(None) | Err(()) => break SessionEnd::Lost { handshook: true },
-            Ok(Some(Message::Dispatch {
-                job,
-                delivery,
-                name,
-                kind,
-                payload,
-                ..
-            })) => {
-                busy.store(job, Ordering::SeqCst);
-                let work = WorkerJob {
-                    job,
-                    name,
-                    kind,
-                    payload,
-                    delivery: delivery as u32,
-                    generation,
-                };
-                let result = registry.run(&work);
-                let (ok, output, error) = match result {
-                    Ok(output) => (true, output, String::new()),
-                    Err(error) => (false, String::new(), error),
-                };
-                let reply = Message::TaskResult {
-                    job,
-                    delivery,
-                    generation,
-                    ok,
-                    output,
-                    error,
-                };
-                let sent = send_frame(&writer, &reply);
-                // Only report idle once the result is on the wire: an
-                // idle heartbeat overtaking the result would read as a
-                // lost dispatch to the coordinator.
-                busy.store(0, Ordering::SeqCst);
-                if sent.is_err() {
-                    *pending = Some(reply);
-                    break SessionEnd::Lost { handshook: true };
-                }
-            }
-            Ok(Some(Message::Drain)) => {
-                let _ = send_frame(&writer, &Message::Bye { pid });
-                break SessionEnd::Drained;
-            }
-            Ok(Some(_)) => {}
-        }
-    };
-    stop.store(true, Ordering::SeqCst);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    let _ = heartbeats.join();
-    end
 }
 
 #[cfg(test)]
