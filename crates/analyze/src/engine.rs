@@ -27,6 +27,11 @@
 //!   journal prefix, so `checkpoint()` compaction, `save()`
 //!   truncation, and hand-rewrites of the journal all invalidate the
 //!   state ("journal compacted past the analysis cursor").
+//! * **Checkpoint checksum** — the state also records
+//!   [`checkpoint_checksum`] of the snapshot files, manifest and blob
+//!   names; a hand-edit of any of them ("checkpoint files changed
+//!   since the analysis state was recorded") or a state without the
+//!   checksum invalidates it.
 //! * **Divergence** — a journal insert colliding with a *different*
 //!   checkpoint document means the checkpoint files were edited after
 //!   the journal was written; the [`LoadReport`] records it and the
@@ -44,8 +49,8 @@
 use crate::diag::{sort_diagnostics, Diagnostic};
 use crate::lints;
 use simart_db::{
-    read_journal_from, BlobKey, Database, DbError, JournalCursor, JournalOp, LoadOptions,
-    LoadReport, Value,
+    checkpoint_checksum, read_journal_from, BlobKey, Database, DbError, JournalCursor, JournalOp,
+    LoadOptions, LoadReport, Value,
 };
 use simart_observe as observe;
 use std::path::Path;
@@ -55,6 +60,9 @@ use std::path::Path;
 pub const STATE_COLLECTION: &str = "analysis_state";
 /// `_id` of the single state document.
 const STATE_DOC_ID: &str = "engine";
+/// State-document field holding the [`checkpoint_checksum`] the state
+/// was recorded against.
+const CHECKPOINT_FIELD: &str = "checkpoint";
 /// Bumped whenever any lint's state layout changes; mismatched
 /// versions fall back to a full scan instead of misreading old state.
 /// Version 2 added the `indexes` registry entry (SA0017).
@@ -314,42 +322,13 @@ pub struct CheckOutcome {
     pub delta_records: usize,
 }
 
-/// Builds an engine for an already-loaded database: resume from
-/// recorded state when every soundness guard holds, full-scan (with a
-/// reason) otherwise.
-fn resume_or_rescan(db: &Database, report: &LoadReport) -> Result<(Engine, CheckOutcome), DbError> {
-    let mut engine = Engine::new();
-    match try_resume(&mut engine, db, report)? {
-        Ok(replayed) => {
-            let outcome = CheckOutcome {
-                diagnostics: Vec::new(),
-                incremental: true,
-                fallback: None,
-                delta_records: replayed,
-            };
-            Ok((engine, outcome))
-        }
-        Err(reason) => {
-            // A failed restore may have left some lints half-filled;
-            // start over from empty states.
-            let mut engine = Engine::new();
-            engine.full_scan(db);
-            let outcome = CheckOutcome {
-                diagnostics: Vec::new(),
-                incremental: false,
-                fallback: Some(reason),
-                delta_records: 0,
-            };
-            Ok((engine, outcome))
-        }
-    }
-}
-
-/// The resume path: `Ok(Ok(n))` after replaying `n` suffix records,
-/// `Ok(Err(reason))` when a guard demands a full scan, `Err` only for
-/// I/O failures reading the journal.
+/// The resume path over the database loaded from `dir`: `Ok(Ok(n))`
+/// after replaying `n` suffix records, `Ok(Err(reason))` when a guard
+/// demands a full scan, `Err` only for I/O failures reading the
+/// journal or the checkpoint files.
 fn try_resume(
     engine: &mut Engine,
+    dir: &Path,
     db: &Database,
     report: &LoadReport,
 ) -> Result<Result<usize, String>, DbError> {
@@ -358,9 +337,6 @@ fn try_resume(
             "checkpoint/journal divergence invalidated the recorded analysis state".into(),
         ));
     }
-    let Some(dir) = db.attached_dir() else {
-        return Ok(Err("database is not attached to a journal directory".into()));
-    };
     if !db.has_collection(STATE_COLLECTION) {
         return Ok(Err(
             "no analysis state recorded yet (this full scan records one)".into(),
@@ -375,10 +351,20 @@ fn try_resume(
         Ok(cursor) => cursor,
         Err(reason) => return Ok(Err(reason)),
     };
-    if !cursor.is_valid(&dir)? {
+    if !cursor.is_valid(dir)? {
         return Ok(Err("journal compacted past the analysis cursor".into()));
     }
-    let replay = read_journal_from(&dir, cursor.offset)?;
+    let Some(recorded) = doc.at(CHECKPOINT_FIELD).and_then(Value::as_int) else {
+        return Ok(Err(
+            "analysis state does not record a checkpoint checksum".into()
+        ));
+    };
+    if recorded != i64::from(checkpoint_checksum(dir)?) {
+        return Ok(Err(
+            "checkpoint files changed since the analysis state was recorded".into(),
+        ));
+    }
+    let replay = read_journal_from(dir, cursor.offset)?;
     for op in &replay.ops {
         engine.apply_op(op);
     }
@@ -400,57 +386,87 @@ fn try_resume(
 /// # Errors
 ///
 /// Load failures (missing directory, corrupt checkpoint or blobs in
-/// strict mode) and journal I/O failures.
+/// strict mode) and I/O failures reading the journal or the checkpoint
+/// files.
 pub fn check_dir_incremental(dir: &Path) -> Result<CheckOutcome, DbError> {
     let _span = observe::span(|| "analyze.check".to_owned());
     let (db, report) = Database::open_with(dir, &LoadOptions::strict())?;
-    let (mut engine, mut outcome) = resume_or_rescan(&db, &report)?;
+    let mut engine = Engine::new();
+    let resumed = try_resume(&mut engine, dir, &db, &report)?;
+    if resumed.is_err() {
+        // A failed restore may have left some lints half-filled;
+        // start over from empty states.
+        engine = Engine::new();
+        engine.full_scan(&db);
+    }
     engine.scan_environment(dir, &report);
-    if !outcome.incremental || outcome.delta_records >= STATE_REFRESH_DELTA {
+    let delta_records = *resumed.as_ref().unwrap_or(&0);
+    if resumed.is_err() || delta_records >= STATE_REFRESH_DELTA {
         record_state(&db, &engine)?;
     }
-    outcome.diagnostics = engine.diagnostics();
-    Ok(outcome)
+    Ok(CheckOutcome {
+        diagnostics: engine.diagnostics(),
+        incremental: resumed.is_ok(),
+        fallback: resumed.err(),
+        delta_records,
+    })
 }
 
-/// In-process check over an already-attached database (the campaign
-/// post-run path). Same resume-or-rescan logic as
-/// [`check_dir_incremental`] but reuses the caller's handle — a second
-/// attached handle on the same directory would double-journal — and
-/// skips the environment lints (the journal is mid-flight by design
-/// while the campaign still owns it; `simart check` covers the
+/// In-process check over the database a campaign already holds (the
+/// campaign post-run path): a full scan of its in-memory documents.
+/// Nothing is read back from disk — the handle already reflects the
+/// checkpoint, the replayed journal and every run the campaign wrote —
+/// and the environment lints are skipped (the journal is mid-flight by
+/// design while the campaign still owns it; `simart check` covers the
 /// directory once the campaign is done).
+///
+/// `_report` is unused: a full scan of the loaded documents needs no
+/// load guard. It stays in the signature so callers keep passing the
+/// report of the load they checked.
 ///
 /// Does not persist state: the campaign checkpoints right after, which
 /// moves the cursor, so the caller records state via [`record_state`]
-/// once the checkpoint completes.
+/// once the checkpoint completes. That state is what a later `simart
+/// check --incremental` resumes from.
 ///
 /// # Errors
 ///
-/// Journal I/O failures while validating or replaying the cursor.
+/// None today; the `Result` keeps the signature stable for callers.
 pub fn campaign_check(
     db: &Database,
-    report: &LoadReport,
+    _report: &LoadReport,
 ) -> Result<(Engine, CheckOutcome), DbError> {
     let _span = observe::span(|| "analyze.check".to_owned());
-    let (engine, mut outcome) = resume_or_rescan(db, report)?;
-    outcome.diagnostics = engine.diagnostics();
+    let mut engine = Engine::new();
+    engine.full_scan(db);
+    let outcome = CheckOutcome {
+        diagnostics: engine.diagnostics(),
+        incremental: false,
+        fallback: None,
+        delta_records: 0,
+    };
     Ok((engine, outcome))
 }
 
 /// Persists the engine's current state into [`STATE_COLLECTION`],
 /// stamped with the journal cursor captured *before* the write (so
 /// replay-from-cursor sees the state record itself first and skips
-/// it).
+/// it) and with the [`checkpoint_checksum`] of the directory.
 ///
 /// # Errors
 ///
-/// [`DbError::NotAttached`] for in-memory databases; journal append
-/// failures otherwise.
+/// [`DbError::NotAttached`] for in-memory databases; filesystem
+/// failures reading the checkpoint and journal append failures
+/// otherwise.
 pub fn record_state(db: &Database, engine: &Engine) -> Result<(), DbError> {
+    let dir = db.attached_dir().ok_or(DbError::NotAttached)?;
     let cursor = db.journal_cursor()?.ok_or(DbError::NotAttached)?;
-    db.collection(STATE_COLLECTION)
-        .upsert(engine.state_doc(cursor))?;
+    let mut doc = engine.state_doc(cursor);
+    doc.set_at(
+        CHECKPOINT_FIELD,
+        Value::from(i64::from(checkpoint_checksum(&dir)?)),
+    );
+    db.collection(STATE_COLLECTION).upsert(doc)?;
     Ok(())
 }
 

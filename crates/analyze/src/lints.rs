@@ -235,40 +235,19 @@ impl Lint for RefLint {
     fn full_scan(&mut self, db: &Database) {
         *self = RefLint::default();
         if db.has_collection("artifacts") {
-            for doc in db.collection("artifacts").all() {
+            for doc in db.collection("artifacts").snapshot().values() {
                 if let Some(id) = doc.at("_id").and_then(Value::as_str) {
                     self.artifacts.insert(id.to_owned());
                 }
             }
         }
         if db.has_collection("runs") {
-            let runs = db.collection("runs");
-            for doc in runs.all() {
+            for doc in db.collection("runs").snapshot().values() {
                 let id = doc
                     .at("_id")
                     .and_then(Value::as_str)
                     .unwrap_or("<missing _id>");
-                self.run_inputs.insert(id.to_owned(), doc_inputs(&doc));
-            }
-            // A declared multikey hash index on `inputs` (the run
-            // store installs one) already holds input -> runs; seed
-            // the reverse map from it instead of re-walking every
-            // run's input list. Extra entries (a run whose `inputs`
-            // is a plain string, the whole-array key) are harmless:
-            // findings are recomputed from `run_inputs`, the reverse
-            // map only decides which runs an artifact change touches.
-            if let Some(entries) = runs.index_entries("inputs") {
-                for (value, ids) in entries {
-                    let Value::Str(input) = value else { continue };
-                    for id in ids {
-                        self.rev.entry(input.clone()).or_default().insert(id);
-                    }
-                }
-                let run_ids: Vec<String> = self.run_inputs.keys().cloned().collect();
-                for run in run_ids {
-                    self.recompute(&run);
-                }
-                return;
+                self.run_inputs.insert(id.to_owned(), doc_inputs(doc));
             }
         }
         self.rebuild_derived();
@@ -584,12 +563,12 @@ impl Lint for DagLint {
     fn full_scan(&mut self, db: &Database) {
         *self = DagLint::default();
         if db.has_collection("artifacts") {
-            for doc in db.collection("artifacts").all() {
+            for doc in db.collection("artifacts").snapshot().values() {
                 let Some(id) = doc.at("_id").and_then(Value::as_str) else {
                     continue;
                 };
                 self.docs
-                    .insert(id.to_owned(), DagLint::record_for(id, &doc));
+                    .insert(id.to_owned(), DagLint::record_for(id, doc));
             }
         }
         self.rebuild();
@@ -796,22 +775,22 @@ impl Lint for BlobRefLint {
         *self = BlobRefLint::default();
         self.blobs = db.blobs().keys().into_iter().collect();
         if db.has_collection("artifacts") {
-            for doc in db.collection("artifacts").all() {
+            for doc in db.collection("artifacts").snapshot().values() {
                 let Some(id) = doc.at("_id").and_then(Value::as_str) else {
                     continue;
                 };
-                if let Some(hex) = BlobRefLint::artifact_ref(id, &doc) {
+                if let Some(hex) = BlobRefLint::artifact_ref(id, doc) {
                     self.set_ref(&format!("artifact:{id}"), Some(hex));
                 }
             }
         }
         if db.has_collection("runs") {
-            for doc in db.collection("runs").all() {
+            for doc in db.collection("runs").snapshot().values() {
                 let id = doc
                     .at("_id")
                     .and_then(Value::as_str)
                     .unwrap_or("<missing _id>");
-                if let Some(hex) = BlobRefLint::run_ref(&doc) {
+                if let Some(hex) = BlobRefLint::run_ref(doc) {
                     self.set_ref(&format!("run:{id}"), Some(hex));
                 }
             }
@@ -994,12 +973,12 @@ impl Lint for RunLogLint {
     fn full_scan(&mut self, db: &Database) {
         *self = RunLogLint::default();
         if db.has_collection("runs") {
-            for doc in db.collection("runs").all() {
+            for doc in db.collection("runs").snapshot().values() {
                 let id = doc
                     .at("_id")
                     .and_then(Value::as_str)
                     .unwrap_or("<missing _id>");
-                self.compute(id, &doc);
+                self.compute(id, doc);
             }
         }
     }
@@ -1149,38 +1128,6 @@ impl HashGroups {
     }
 }
 
-/// Seeds duplicate-hash groups from a declared `hash` index instead of
-/// scanning every document. Returns `false` (caller must scan) when the
-/// collection has no hash index on `hash`. Each candidate id is
-/// confirmed against its document — the index is multikey, so an
-/// array-valued `hash` field contributes element keys the scan path
-/// would never see — which keeps the seeded result byte-identical to a
-/// scan while touching only the colliding documents.
-fn seed_hash_groups(
-    collection: &simart_db::Collection,
-    groups: &mut HashGroups,
-    admit: impl Fn(&str) -> bool,
-) -> bool {
-    let Some(entries) = collection.index_entries("hash") else {
-        return false;
-    };
-    for (value, ids) in entries {
-        let Value::Str(hash) = value else { continue };
-        for id in ids {
-            if !admit(&id) {
-                continue;
-            }
-            let confirmed = collection
-                .get(&id)
-                .and_then(|doc| doc.at("hash").and_then(Value::as_str).map(str::to_owned));
-            if confirmed.as_deref() == Some(hash.as_str()) {
-                groups.set(&id, confirmed);
-            }
-        }
-    }
-    true
-}
-
 fn artifact_dup_message(hash: &str, ids: &BTreeSet<String>) -> String {
     let ids: Vec<String> = ids.iter().cloned().collect();
     format!(
@@ -1228,13 +1175,7 @@ impl Lint for DupArtifactLint {
     fn full_scan(&mut self, db: &Database) {
         self.groups.clear();
         if db.has_collection("artifacts") {
-            let artifacts = db.collection("artifacts");
-            if seed_hash_groups(&artifacts, &mut self.groups, |id| {
-                id.parse::<Uuid>().is_ok() // malformed ids stop at SA0003
-            }) {
-                return;
-            }
-            for doc in artifacts.all() {
+            for doc in db.collection("artifacts").snapshot().values() {
                 let Some(id) = doc.at("_id").and_then(Value::as_str) else {
                     continue;
                 };
@@ -1318,11 +1259,7 @@ impl Lint for DupRunLint {
     fn full_scan(&mut self, db: &Database) {
         self.groups.clear();
         if db.has_collection("runs") {
-            let runs = db.collection("runs");
-            if seed_hash_groups(&runs, &mut self.groups, |_| true) {
-                return;
-            }
-            for doc in runs.all() {
+            for doc in db.collection("runs").snapshot().values() {
                 let id = doc
                     .at("_id")
                     .and_then(Value::as_str)
@@ -1479,16 +1416,16 @@ impl Lint for QuarantineLint {
     fn full_scan(&mut self, db: &Database) {
         *self = QuarantineLint::default();
         if db.has_collection("runs") {
-            for doc in db.collection("runs").all() {
+            for doc in db.collection("runs").snapshot().values() {
                 let Some(id) = doc.at("_id").and_then(Value::as_str) else {
                     continue;
                 };
                 self.run_status
-                    .insert(id.to_owned(), QuarantineLint::status_of(&doc));
+                    .insert(id.to_owned(), QuarantineLint::status_of(doc));
             }
         }
         if db.has_collection("quarantine") {
-            for doc in db.collection("quarantine").all() {
+            for doc in db.collection("quarantine").snapshot().values() {
                 let Some(id) = doc.at("_id").and_then(Value::as_str) else {
                     continue;
                 };

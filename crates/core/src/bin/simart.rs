@@ -121,16 +121,6 @@ fn catalog() -> i32 {
     0
 }
 
-fn parse_cpu(s: &str) -> Option<CpuKind> {
-    Some(match s {
-        "kvm" => CpuKind::Kvm,
-        "atomic" => CpuKind::AtomicSimple,
-        "timing" => CpuKind::TimingSimple,
-        "o3" => CpuKind::O3,
-        _ => return None,
-    })
-}
-
 fn parse_mem(s: &str) -> Option<MemKind> {
     Some(match s {
         "classic" => MemKind::classic_fast(),
@@ -155,7 +145,7 @@ fn parse_kernel(s: &str) -> Option<KernelVersion> {
 
 fn boot(args: &[String]) -> i32 {
     let cpu = flag(args, "--cpu")
-        .and_then(|s| parse_cpu(&s))
+        .and_then(|s| simart::remote::parse_cpu(&s))
         .unwrap_or(CpuKind::TimingSimple);
     let cores: u32 = flag(args, "--cores")
         .and_then(|s| s.parse().ok())
@@ -570,11 +560,10 @@ fn campaign(args: &[String]) -> i32 {
         }
     }
 
-    // Post-run provenance check (--check): lint the campaign's own
-    // database before it is checkpointed — incremental when analysis
-    // state recorded by a previous campaign or `simart check
-    // --incremental` is still valid, full scan otherwise. Runs inside
-    // the capture window so the analyze.* metrics land in the snapshot.
+    // Post-run provenance check (--check): a full scan of the
+    // database the campaign holds in memory, before it is
+    // checkpointed. Runs inside the capture window so the analyze.*
+    // metrics land in the snapshot.
     let mut check_errors = false;
     let mut check_engine = None;
     if check_after {
@@ -586,11 +575,6 @@ fn campaign(args: &[String]) -> i32 {
                     return 2;
                 }
             };
-        if db_dir.is_some() {
-            if let Some(reason) = &outcome.fallback {
-                eprintln!("note: falling back to a full scan: {reason}");
-            }
-        }
         print!("{}", render_text(&outcome.diagnostics));
         check_errors = has_errors(&outcome.diagnostics);
         check_engine = Some(engine);

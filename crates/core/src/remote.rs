@@ -181,7 +181,9 @@ pub fn execute_campaign_params(params: &[String]) -> Result<ExecOutcome, String>
     })
 }
 
-fn parse_cpu(s: &str) -> Option<simart_fullsim::cpu::CpuKind> {
+/// Parses a CPU model name as the CLI and campaign parameters spell
+/// it: `kvm`, `atomic`, `timing` or `o3`.
+pub fn parse_cpu(s: &str) -> Option<simart_fullsim::cpu::CpuKind> {
     use simart_fullsim::cpu::CpuKind;
     Some(match s {
         "kvm" => CpuKind::Kvm,

@@ -443,7 +443,8 @@ fn deny_warnings_makes_warnings_fatal_and_allow_suppresses() {
 
 /// `simart campaign --check` lints the campaign's own database after
 /// the runs finish and records analysis state past the checkpoint, so
-/// the next `simart check --incremental` resumes without a fallback.
+/// the next `simart check --incremental` resumes without a fallback —
+/// after a first campaign and after a resumed one alike.
 #[test]
 fn campaign_check_lints_and_records_state_for_incremental() {
     let dir = temp_dir("campaign-check");
@@ -454,11 +455,6 @@ fn campaign_check_lints_and_records_state_for_incremental() {
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("check: 0 errors, 0 warnings"), "{stdout}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr)
-            .contains("note: falling back to a full scan: no analysis state recorded yet"),
-        "first campaign has no prior analysis state: {out:?}"
-    );
 
     let incr = run_check(&dir, &["--incremental"]);
     assert_eq!(incr.status.code(), Some(0), "{incr:?}");
@@ -472,7 +468,7 @@ fn campaign_check_lints_and_records_state_for_incremental() {
         "{incr:?}"
     );
 
-    // A resumed campaign's check also picks the state up incrementally.
+    // A resumed campaign's check records fresh state too.
     let resumed = Command::new(env!("CARGO_BIN_EXE_simart"))
         .args([
             "campaign",
@@ -488,9 +484,58 @@ fn campaign_check_lints_and_records_state_for_incremental() {
         String::from_utf8_lossy(&resumed.stdout).contains("check: 0 errors, 0 warnings"),
         "{resumed:?}"
     );
+    let incr = run_check(&dir, &["--incremental"]);
+    assert_eq!(incr.status.code(), Some(0), "{incr:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&incr.stderr),
+        "",
+        "state recorded by a resumed campaign resumes silently"
+    );
     assert!(
-        !String::from_utf8_lossy(&resumed.stderr).contains("falling back"),
-        "resumed campaign check is incremental: {resumed:?}"
+        String::from_utf8_lossy(&incr.stdout).contains("check: 0 errors"),
+        "{incr:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint file edited after `simart campaign --check` recorded
+/// analysis state must not be hidden by `--incremental`: the journal
+/// prefix is untouched, so only the recorded checkpoint checksum can
+/// tell that the state no longer describes the directory.
+#[test]
+fn incremental_check_sees_an_edited_checkpoint() {
+    let dir = temp_dir("tampered-checkpoint");
+    let out = Command::new(env!("CARGO_BIN_EXE_simart"))
+        .args(["campaign", "--db", dir.to_str().unwrap(), "--check"])
+        .output()
+        .expect("campaign runs");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    // Drop the first artifact from the checkpoint: every run that used
+    // it now references a missing artifact.
+    let checkpoint = dir.join("artifacts.jsonl");
+    let text = std::fs::read_to_string(&checkpoint).expect("read checkpoint");
+    let rest: String = text
+        .lines()
+        .skip(1)
+        .map(|line| format!("{line}\n"))
+        .collect();
+    std::fs::write(&checkpoint, rest).expect("edit checkpoint");
+
+    let full = run_check(&dir, &[]);
+    assert_eq!(full.status.code(), Some(1), "{full:?}");
+    let full_stdout = String::from_utf8_lossy(&full.stdout).into_owned();
+    assert!(full_stdout.contains("error[SA0001]"), "{full_stdout}");
+
+    let incr = run_check(&dir, &["--incremental"]);
+    assert_eq!(incr.status.code(), Some(1), "{incr:?}");
+    assert_eq!(String::from_utf8_lossy(&incr.stdout), full_stdout);
+    assert!(
+        String::from_utf8_lossy(&incr.stderr).contains(
+            "falling back to a full scan: checkpoint files changed since the analysis state \
+             was recorded"
+        ),
+        "{incr:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,11 @@
-//! Document collections: hash-sharded storage, declared secondary
-//! indexes, and copy-on-write snapshots.
+//! Document collections: one ordered map of documents, declared
+//! secondary indexes, and copy-on-write snapshots.
 //!
-//! A collection's documents are split across [`SHARD_COUNT`] hash
-//! shards (by `_id`), each behind its own lock, so point reads on
-//! different documents never contend. Every shard holds its map behind
-//! an [`Arc`]; [`Collection::snapshot`] clones those `Arc`s to freeze a
-//! consistent view, and writers use copy-on-write
-//! ([`Arc::make_mut`]) so they proceed while snapshots are held.
+//! A collection's documents live in one `BTreeMap` keyed by `_id`, held
+//! behind an [`Arc`] under a lock. [`Collection::snapshot`] clones that
+//! `Arc` to freeze a consistent view, and writers use copy-on-write
+//! ([`Arc::make_mut`]) so they proceed while snapshots are held. Every
+//! scan walks the map, so results come out in `_id` order.
 //!
 //! Secondary indexes are declared with [`Collection::ensure_index`]
 //! ([`IndexSpec`]) and maintained write-through at the same commit
@@ -25,15 +24,8 @@ use std::ops::Bound;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-/// Number of hash shards per collection. A fixed power of two keeps
-/// `_id -> shard` assignment stable across processes (shard layout is
-/// an in-memory detail, but determinism keeps iteration reproducible).
-const SHARD_COUNT: usize = 16;
-
-/// FNV-1a over the document id selects its shard.
-fn shard_of(id: &str) -> usize {
-    (simart_codec::fnv1a(id.as_bytes()) % SHARD_COUNT as u64) as usize
-}
+/// A collection's documents by `_id`.
+type Docs = BTreeMap<String, Value>;
 
 /// How a secondary index organizes its keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -422,13 +414,13 @@ impl IndexSet {
 /// A consistent, immutable view of a collection's documents.
 ///
 /// Obtained from [`Collection::snapshot`]; cheap to create (clones one
-/// `Arc` per shard under a brief lock) and never blocks or observes
-/// subsequent writers, which copy-on-write their shard maps instead.
-/// Reads on a snapshot record no query metrics.
+/// `Arc` under a brief lock) and never blocks or observes subsequent
+/// writers, which copy-on-write the map instead. Reads on a snapshot
+/// record no query metrics.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     name: String,
-    shards: Vec<Arc<BTreeMap<String, Value>>>,
+    docs: Arc<Docs>,
 }
 
 impl Snapshot {
@@ -439,60 +431,46 @@ impl Snapshot {
 
     /// Number of documents in the snapshot.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.docs.len()
     }
 
     /// Whether the snapshot holds no documents.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
+        self.docs.is_empty()
     }
 
     /// Fetches a document by `_id`.
     pub fn get(&self, id: &str) -> Option<Value> {
-        self.shards[shard_of(id)].get(id).cloned()
+        self.docs.get(id).cloned()
     }
 
     /// All documents, ordered by `_id`.
     pub fn all(&self) -> Vec<Value> {
-        self.find(&Filter::All)
+        self.docs.values().cloned().collect()
+    }
+
+    /// Borrows every document in `_id` order, without cloning any.
+    pub fn values(&self) -> impl Iterator<Item = &Value> {
+        self.docs.values()
     }
 
     /// Documents matching `filter`, ordered by `_id`.
     pub fn find(&self, filter: &Filter) -> Vec<Value> {
-        let mut matches: Vec<(&String, &Value)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .filter(|(_, doc)| filter.matches(doc))
-            .collect();
-        matches.sort_by(|a, b| a.0.cmp(b.0));
-        matches.into_iter().map(|(_, doc)| doc.clone()).collect()
+        self.docs
+            .values()
+            .filter(|doc| filter.matches(doc))
+            .cloned()
+            .collect()
     }
 
     /// The first matching document in `_id` order.
     pub fn find_one(&self, filter: &Filter) -> Option<Value> {
-        let mut best: Option<(&String, &Value)> = None;
-        for entry in self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .filter(|(_, doc)| filter.matches(doc))
-        {
-            match &best {
-                Some((id, _)) if *id <= entry.0 => {}
-                _ => best = Some(entry),
-            }
-        }
-        best.map(|(_, doc)| doc.clone())
+        self.docs.values().find(|doc| filter.matches(doc)).cloned()
     }
 
     /// Counts matching documents.
     pub fn count(&self, filter: &Filter) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|shard| shard.iter())
-            .filter(|(_, doc)| filter.matches(doc))
-            .count()
+        self.docs.values().filter(|doc| filter.matches(doc)).count()
     }
 
     /// Matching documents sorted by a field path (missing fields sort
@@ -521,10 +499,12 @@ fn sort_docs(docs: &mut [Value], sort_path: &str, order: SortOrder) {
 /// Collections are cheap `Arc` handles; clones share storage, and all
 /// operations are thread-safe (the paper's framework writes results from
 /// many concurrent simulation tasks into one database). Documents live
-/// in hash shards behind per-shard locks; declared indexes live behind
-/// one collection-wide lock that serializes writers against each other
-/// (and against index readers) while leaving point reads and held
-/// [`Snapshot`]s contention-free.
+/// in one map behind its own lock; declared indexes live behind one
+/// collection-wide lock that serializes writers against each other
+/// (and against index readers and [`Collection::snapshot`]). Writers
+/// take the map's write lock only to apply a mutation after its journal
+/// append, so point reads and held [`Snapshot`]s never wait on journal
+/// I/O.
 ///
 /// Collections obtained from a directory-attached database
 /// ([`Database::open`](crate::Database::open)) write every mutation
@@ -543,18 +523,14 @@ pub struct Collection {
 
 #[derive(Debug)]
 struct Inner {
-    /// Hash shards; `shard_of(_id)` picks the slot. Each shard's map is
-    /// `Arc`-wrapped for copy-on-write snapshot isolation.
-    shards: Vec<RwLock<Shard>>,
+    /// The documents, `Arc`-wrapped for copy-on-write snapshot
+    /// isolation.
+    docs: RwLock<Arc<Docs>>,
     /// Declared secondary indexes. Writers take this lock in write mode
-    /// for the whole journal-append + apply sequence, so any holder of
-    /// the read lock sees documents and indexes mutually consistent.
+    /// for the whole journal-append + apply sequence (then the map's
+    /// lock, never the other way round), so any holder of the read lock
+    /// sees documents and indexes mutually consistent.
     indexes: RwLock<IndexSet>,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    docs: Arc<BTreeMap<String, Value>>,
 }
 
 impl Collection {
@@ -569,9 +545,7 @@ impl Collection {
         Collection {
             name: name.into(),
             inner: Arc::new(Inner {
-                shards: (0..SHARD_COUNT)
-                    .map(|_| RwLock::new(Shard::default()))
-                    .collect(),
+                docs: RwLock::new(Arc::default()),
                 indexes: RwLock::new(IndexSet::default()),
             }),
             journal,
@@ -583,22 +557,28 @@ impl Collection {
         &self.name
     }
 
-    /// Captures one `Arc` per shard. Callers hold the index lock (read
-    /// or write) across the captures so the view is a consistent cut.
-    fn capture_shards(&self) -> Vec<Arc<BTreeMap<String, Value>>> {
-        self.inner
-            .shards
-            .iter()
-            .map(|shard| Arc::clone(&shard.read().docs))
-            .collect()
+    /// The current documents, frozen (one `Arc` clone).
+    fn docs(&self) -> Arc<Docs> {
+        Arc::clone(&self.inner.docs.read())
+    }
+
+    /// Applies one mutation to the map under its write lock (copying it
+    /// first if a snapshot still shares it).
+    fn apply<R>(&self, mutate: impl FnOnce(&mut Docs) -> R) -> R {
+        mutate(Arc::make_mut(&mut self.inner.docs.write()))
     }
 
     /// A consistent copy-on-write snapshot of the collection.
+    ///
+    /// Takes the index read lock, so it waits for any writer between
+    /// its journal append and its apply: every record the journal held
+    /// when the snapshot began is in it. Checkpoints rely on that to
+    /// splice off the journal prefix they captured beforehand.
     pub fn snapshot(&self) -> Snapshot {
         let _indexes = self.inner.indexes.read();
         Snapshot {
             name: self.name.clone(),
-            shards: self.capture_shards(),
+            docs: self.docs(),
         }
     }
 
@@ -625,11 +605,9 @@ impl Collection {
             });
         }
         let mut index = Index::new(spec.clone());
-        for shard in &self.inner.shards {
-            for (id, doc) in shard.read().docs.iter() {
-                index.check_unique(&self.name, id, doc)?;
-                index.add(id, doc);
-            }
+        for (id, doc) in self.docs().iter() {
+            index.check_unique(&self.name, id, doc)?;
+            index.add(id, doc);
         }
         journal::append_if_attached(
             &self.journal,
@@ -663,30 +641,6 @@ impl Collection {
             .iter()
             .map(|ix| ix.spec.clone())
             .collect()
-    }
-
-    /// The entries of the index on `path` as `(key value, sorted ids)`
-    /// pairs in key order, or `None` when no index covers `path`.
-    /// Hash-index keys are decoded from their rendered form; multikey
-    /// array entries appear both whole and per element.
-    pub fn index_entries(&self, path: &str) -> Option<Vec<(Value, Vec<String>)>> {
-        let indexes = self.inner.indexes.read();
-        let index = indexes.get(path)?;
-        Some(match &index.data {
-            IndexData::Hash(map) => map
-                .iter()
-                .map(|(key, ids)| {
-                    (
-                        crate::json::from_json(key).unwrap_or(Value::Null),
-                        ids.iter().cloned().collect(),
-                    )
-                })
-                .collect(),
-            IndexData::Ordered(map) => map
-                .iter()
-                .map(|(key, ids)| (key.value.clone(), ids.iter().cloned().collect()))
-                .collect(),
-        })
     }
 
     /// Canonical, deterministic rendering of every index: an array
@@ -728,23 +682,21 @@ impl Collection {
     /// result means indexes and documents agree exactly.
     pub fn verify_indexes(&self) -> Vec<IndexDivergence> {
         let indexes = self.inner.indexes.read();
-        let shards = self.capture_shards();
+        let docs = self.docs();
         let mut out = Vec::new();
         for index in &indexes.indexes {
             let path = &index.spec.path;
             let actual = index.rendered_entries();
             let mut expected: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-            for shard in &shards {
-                for (id, doc) in shard.iter() {
-                    for key in index.expected_keys(doc) {
-                        expected.entry(key).or_default().insert(id.clone());
-                    }
+            for (id, doc) in docs.iter() {
+                for key in index.expected_keys(doc) {
+                    expected.entry(key).or_default().insert(id.clone());
                 }
             }
             for (key, ids) in &actual {
                 for id in ids {
                     if expected.get(key).is_none_or(|set| !set.contains(id)) {
-                        let detail = if shards[shard_of(id)].contains_key(id) {
+                        let detail = if docs.contains_key(id) {
                             format!(
                                 "index entry {key} -> {id} does not match the document's rendered key"
                             )
@@ -813,8 +765,7 @@ impl Collection {
         let _timer = observe::timer("db.insert_us");
         let id = id_of(&doc)?;
         let mut indexes = self.inner.indexes.write();
-        let mut shard = self.inner.shards[shard_of(&id)].write();
-        if shard.docs.contains_key(&id) {
+        if self.inner.docs.read().contains_key(&id) {
             return Err(DbError::DuplicateId {
                 collection: self.name.clone(),
                 id,
@@ -833,7 +784,7 @@ impl Collection {
             },
         )?;
         indexes.add_doc(&id, &doc);
-        Arc::make_mut(&mut shard.docs).insert(id, doc);
+        self.apply(|docs| docs.insert(id, doc));
         Ok(())
     }
 
@@ -845,8 +796,7 @@ impl Collection {
         let _timer = observe::timer("db.insert_us");
         let id = id_of(&doc)?;
         let mut indexes = self.inner.indexes.write();
-        let mut shard = self.inner.shards[shard_of(&id)].write();
-        let previous = shard.docs.get(&id).cloned();
+        let previous = self.inner.docs.read().get(&id).cloned();
         // The occupant being replaced is exempt from unique checks.
         indexes.check_unique(&self.name, &id, &doc)?;
         journal::append_if_attached(
@@ -860,32 +810,32 @@ impl Collection {
             indexes.remove_doc(&id, prev);
         }
         indexes.add_doc(&id, &doc);
-        Arc::make_mut(&mut shard.docs).insert(id, doc);
+        self.apply(|docs| docs.insert(id, doc));
         Ok(previous)
     }
 
-    /// Fetches a document by `_id`. Touches only the owning shard's
-    /// lock — never contends with queries or writers on other shards.
+    /// Fetches a document by `_id`. Takes only the map's read lock,
+    /// which writers hold just long enough to apply a mutation.
     pub fn get(&self, id: &str) -> Option<Value> {
-        self.inner.shards[shard_of(id)].read().docs.get(id).cloned()
+        self.inner.docs.read().get(id).cloned()
     }
 
     /// Walks matching documents in `_id` order, planner-first: an
     /// applicable index probe yields candidate ids (counted on
-    /// `db.query_planned_index`), a scan freezes the shard maps and
-    /// merges them (counted on `db.query_scans`). The full filter is
-    /// re-applied either way, so probes only need to over-approximate.
+    /// `db.query_planned_index`), a scan freezes the map and walks it
+    /// (counted on `db.query_scans`). The full filter is re-applied
+    /// either way, so probes only need to over-approximate.
     fn for_each_matching(
         &self,
         filter: &Filter,
         f: &mut dyn FnMut(&str, &Value) -> ControlFlow<()>,
     ) {
         let indexes = self.inner.indexes.read();
+        let docs = self.docs();
         if let Some(ids) = planned_ids(&indexes, filter) {
             observe::count("db.query_planned_index", 1);
             for id in ids {
-                let shard = self.inner.shards[shard_of(&id)].read();
-                if let Some(doc) = shard.docs.get(&id) {
+                if let Some(doc) = docs.get(&id) {
                     if filter.matches(doc) {
                         if let ControlFlow::Break(()) = f(&id, doc) {
                             return;
@@ -895,12 +845,8 @@ impl Collection {
             }
         } else {
             observe::count("db.query_scans", 1);
-            let shards = self.capture_shards();
             drop(indexes);
-            let mut entries: Vec<(&String, &Value)> =
-                shards.iter().flat_map(|shard| shard.iter()).collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            for (id, doc) in entries {
+            for (id, doc) in docs.iter() {
                 if filter.matches(doc) {
                     if let ControlFlow::Break(()) = f(id, doc) {
                         return;
@@ -956,7 +902,7 @@ impl Collection {
         let _span = observe::span(|| "db.query".to_owned());
         let _timer = observe::timer("db.query_us");
         observe::count("db.query_planned_index", 1);
-        let shards = self.capture_shards();
+        let docs = self.docs();
         let index = indexes.get(sort_path).expect("checked above");
         let IndexData::Ordered(map) = &index.data else {
             unreachable!("ordered index carries ordered data");
@@ -964,9 +910,8 @@ impl Collection {
         // The Null block merges explicitly-null entries (indexed) with
         // documents missing the field entirely (not indexed), in `_id`
         // order — matching the scan path's sort semantics.
-        let mut null_block: Vec<String> = shards
+        let mut null_block: Vec<String> = docs
             .iter()
-            .flat_map(|shard| shard.iter())
             .filter(|(_, doc)| doc.at(sort_path).is_none())
             .map(|(id, _)| id.clone())
             .collect();
@@ -989,7 +934,7 @@ impl Collection {
         };
         let mut out = Vec::new();
         for id in sequence {
-            if let Some(doc) = shards[shard_of(&id)].get(&id) {
+            if let Some(doc) = docs.get(&id) {
                 if filter.matches(doc) {
                     out.push(doc.clone());
                 }
@@ -1018,8 +963,7 @@ impl Collection {
     /// the next checkpoint.
     pub fn delete(&self, id: &str) -> Option<Value> {
         let mut indexes = self.inner.indexes.write();
-        let mut shard = self.inner.shards[shard_of(id)].write();
-        if !shard.docs.contains_key(id) {
+        if !self.inner.docs.read().contains_key(id) {
             return None;
         }
         journal::append_best_effort(
@@ -1029,7 +973,7 @@ impl Collection {
                 id: id.to_owned(),
             },
         );
-        let doc = Arc::make_mut(&mut shard.docs).remove(id)?;
+        let doc = self.apply(|docs| docs.remove(id))?;
         indexes.remove_doc(id, &doc);
         Some(doc)
     }
@@ -1073,50 +1017,31 @@ impl Collection {
         update: impl Fn(&mut Value),
     ) -> Result<usize, DbError> {
         let mut indexes = self.inner.indexes.write();
-        let ids = {
-            let mut ids = Vec::new();
-            match planned_ids(&indexes, filter) {
-                Some(candidates) => {
+        // Stage every rewrite first — nothing is journaled or stored
+        // until the whole batch validates.
+        let staged: Vec<(String, Value, Value)> = {
+            let docs = self.docs();
+            let candidates: Vec<(&String, &Value)> = match planned_ids(&indexes, filter) {
+                Some(ids) => {
                     observe::count("db.query_planned_index", 1);
-                    for id in candidates {
-                        let shard = self.inner.shards[shard_of(&id)].read();
-                        if shard.docs.get(&id).is_some_and(|doc| filter.matches(doc)) {
-                            ids.push(id);
-                        }
-                    }
+                    ids.iter().filter_map(|id| docs.get_key_value(id)).collect()
                 }
                 None => {
                     observe::count("db.query_scans", 1);
-                    let mut entries: Vec<(String, bool)> = Vec::new();
-                    for shard in &self.inner.shards {
-                        for (id, doc) in shard.read().docs.iter() {
-                            entries.push((id.clone(), filter.matches(doc)));
-                        }
-                    }
-                    entries.sort();
-                    ids.extend(
-                        entries
-                            .into_iter()
-                            .filter(|(_, matched)| *matched)
-                            .map(|(id, _)| id),
-                    );
+                    docs.iter().collect()
                 }
-            }
-            ids
-        };
-        // Stage every rewrite first — nothing is journaled or stored
-        // until the whole batch validates.
-        let mut staged: Vec<(String, Value, Value)> = Vec::with_capacity(ids.len());
-        for id in &ids {
-            let shard = self.inner.shards[shard_of(id)].read();
-            let Some(old) = shard.docs.get(id).cloned() else {
-                continue;
             };
-            let mut new = old.clone();
-            update(&mut new);
-            new.set_at("_id", Value::Str(id.clone()));
-            staged.push((id.clone(), old, new));
-        }
+            candidates
+                .into_iter()
+                .filter(|(_, doc)| filter.matches(doc))
+                .map(|(id, old)| {
+                    let mut new = old.clone();
+                    update(&mut new);
+                    new.set_at("_id", Value::Str(id.clone()));
+                    (id.clone(), old.clone(), new)
+                })
+                .collect()
+        };
         // Trial-apply against the index state we hold exclusively:
         // retract every old document, then admit the rewrites one by
         // one so batch-internal collisions are caught too. On a
@@ -1137,8 +1062,10 @@ impl Collection {
             indexes.add_doc(id, new);
         }
         let changed = staged.len();
-        for (id, _, new) in staged {
-            let mut shard = self.inner.shards[shard_of(&id)].write();
+        if changed == 0 {
+            return Ok(0);
+        }
+        for (_, _, new) in &staged {
             journal::append_best_effort(
                 &self.journal,
                 &JournalOp::Upsert {
@@ -1146,26 +1073,25 @@ impl Collection {
                     doc: new.clone(),
                 },
             );
-            Arc::make_mut(&mut shard.docs).insert(id, new);
         }
+        // One apply for the whole batch: a snapshot sees all of it or
+        // none of it.
+        self.apply(|docs| {
+            for (id, _, new) in staged {
+                docs.insert(id, new);
+            }
+        });
         Ok(changed)
     }
 
     /// Number of documents.
     pub fn len(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|shard| shard.read().docs.len())
-            .sum()
+        self.inner.docs.read().len()
     }
 
     /// Whether the collection is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner
-            .shards
-            .iter()
-            .all(|shard| shard.read().docs.is_empty())
+        self.inner.docs.read().is_empty()
     }
 
     /// Snapshot of all documents (ordered by `_id`).
@@ -1591,36 +1517,6 @@ mod tests {
             ids(c.find_sorted(&Filter::gt("t", 3i64), "t", SortOrder::Ascending)),
             vec!["a", "e"]
         );
-    }
-
-    #[test]
-    fn index_entries_expose_multikey_arrays() {
-        let c = Collection::new("runs");
-        c.ensure_index(IndexSpec::hash("inputs")).unwrap();
-        c.insert(doc(
-            "r1",
-            [(
-                "inputs",
-                Value::array([Value::from("art-a"), Value::from("art-b")]),
-            )],
-        ))
-        .unwrap();
-        c.insert(doc(
-            "r2",
-            [("inputs", Value::array([Value::from("art-b")]))],
-        ))
-        .unwrap();
-        let entries = c.index_entries("inputs").unwrap();
-        let by_key: BTreeMap<String, Vec<String>> = entries
-            .into_iter()
-            .map(|(k, ids)| (crate::json::to_json(&k), ids))
-            .collect();
-        assert_eq!(by_key["\"art-a\""], vec!["r1"]);
-        assert_eq!(by_key["\"art-b\""], vec!["r1", "r2"]);
-        assert!(by_key.contains_key("[\"art-a\",\"art-b\"]"));
-        assert!(c.index_entries("nope").is_none());
-        // The multikey index serves elem_match probes.
-        assert_eq!(c.find(&Filter::elem_match("inputs", "art-b")).len(), 2);
     }
 
     #[test]

@@ -262,8 +262,8 @@ impl Database {
             let tmp = dir.join(format!("{name}.jsonl.tmp"));
             {
                 let mut file = fs::File::create(&tmp)?;
-                for doc in collection.all() {
-                    writeln!(file, "{}", json::to_json(&doc))?;
+                for doc in collection.snapshot().values() {
+                    writeln!(file, "{}", json::to_json(doc))?;
                 }
                 file.sync_all()?;
             }
@@ -656,6 +656,48 @@ impl Database {
 /// directory (index specs + their rendered entries at save time).
 pub const INDEX_MANIFEST_FILE: &str = "indexes.json";
 
+/// A CRC-32 identifying a database directory's checkpoint files: every
+/// `*.jsonl` snapshot and the [`INDEX_MANIFEST_FILE`] (name, length and
+/// content, in name order), then the sorted file names under `blobs/`.
+/// Blob contents are not read — a blob file is named by its content
+/// hash, and the loader re-hashes each one anyway.
+///
+/// The journal is not covered: a [`JournalCursor`](crate::JournalCursor)
+/// pins that. Together the two identify every input of a load, so an
+/// incremental consumer that recorded both can tell when the checkpoint
+/// was edited behind its back.
+///
+/// # Errors
+///
+/// Filesystem failures listing or reading the directory.
+pub fn checkpoint_checksum(dir: &Path) -> Result<u32, DbError> {
+    let mut files = snapshot_files(dir, "jsonl")?;
+    let manifest = dir.join(INDEX_MANIFEST_FILE);
+    if manifest.is_file() {
+        files.push(manifest);
+    }
+    files.sort();
+    let mut crc = simart_codec::Crc32::new();
+    for path in files {
+        let body = fs::read(&path)?;
+        crc.update(path.file_name().unwrap_or_default().as_encoded_bytes());
+        crc.update(&(body.len() as u64).to_le_bytes());
+        crc.update(&body);
+    }
+    let blob_dir = dir.join("blobs");
+    if blob_dir.is_dir() {
+        let mut names = fs::read_dir(&blob_dir)?
+            .map(|entry| entry.map(|e| e.file_name()))
+            .collect::<Result<Vec<_>, _>>()?;
+        names.sort();
+        for name in names {
+            crc.update(name.as_encoded_bytes());
+            crc.update(b"\n");
+        }
+    }
+    Ok(crc.finish())
+}
+
 /// Decodes one manifest / [`Collection::index_state`] entry back into
 /// its [`IndexSpec`]; `None` when fields are missing or malformed.
 fn index_spec_from_state(entry: &Value) -> Option<IndexSpec> {
@@ -914,6 +956,56 @@ mod tests {
         inserts.join().unwrap();
         let restored = Database::load(&dir).unwrap();
         assert_eq!(restored.collection("runs").len(), 200);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_keeps_writes_racing_its_snapshot() {
+        // A writer appends to the journal before it applies to the map.
+        // A checkpoint that captured the journal length must not write
+        // its snapshot in between, or it splices off a record the
+        // snapshot lacks. Each checkpoint here starts once the writer's
+        // `update_many` has journaled part of its batch, and each batch
+        // touches its own group, so a lost batch is never rewritten.
+        let dir = temp_dir("checkpoint-concurrent");
+        let db = Database::open(&dir).unwrap();
+        let runs = db.collection("runs");
+        for i in 0..4000i64 {
+            runs.insert(Value::map([
+                ("_id", Value::from(format!("r{i:04}"))),
+                ("g", Value::from(i % 8)),
+            ]))
+            .unwrap();
+        }
+        db.checkpoint().unwrap();
+        let journal_len = || db.journal.read().as_ref().unwrap().len().unwrap();
+        let (start, groups) = std::sync::mpsc::channel::<i64>();
+        let writer = db.clone();
+        let updates = std::thread::spawn(move || {
+            let runs = writer.collection("runs");
+            for group in groups {
+                let changed = runs
+                    .update_many(&Filter::eq("g", group), |doc| {
+                        doc.set_at("done", Value::from(true));
+                    })
+                    .unwrap();
+                assert_eq!(changed, 500);
+            }
+        });
+        for group in 0..8i64 {
+            let before = journal_len();
+            start.send(group).unwrap();
+            while journal_len() == before {
+                std::thread::yield_now();
+            }
+            db.checkpoint().unwrap();
+        }
+        drop(start);
+        updates.join().unwrap();
+        let restored = Database::load(&dir).unwrap().collection("runs");
+        assert_eq!(restored.len(), 4000);
+        let lost = restored.count(&Filter::exists("done").not());
+        assert_eq!(lost, 0, "updates lost by a checkpoint");
         fs::remove_dir_all(&dir).unwrap();
     }
 

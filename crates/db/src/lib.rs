@@ -11,9 +11,10 @@
 //!
 //! * [`Value`] — a JSON-like document model with its own text
 //!   serialization (used for on-disk persistence);
-//! * [`Collection`] — sharded, ordered document storage with declared
-//!   secondary indexes ([`IndexSpec`]), copy-on-write [`Snapshot`]
-//!   reads, and a [`Filter`] query engine with an index-aware planner;
+//! * [`Collection`] — ordered document storage (one `_id`-keyed map
+//!   per collection) with declared secondary indexes ([`IndexSpec`]),
+//!   copy-on-write [`Snapshot`] reads, and a [`Filter`] query engine
+//!   with an index-aware planner;
 //! * [`BlobStore`] — content-addressed byte storage (the GridFS
 //!   analogue) that deduplicates identical uploads;
 //! * [`Database`] — a named set of collections plus a blob store, with
@@ -59,7 +60,7 @@ pub use aggregate::{group_reduce, reduce, Reduce};
 pub use artifact_store::ArtifactStore;
 pub use blobstore::{BlobKey, BlobStore};
 pub use collection::{Collection, IndexDivergence, IndexKind, IndexSpec, Snapshot};
-pub use database::{Database, LoadOptions, LoadReport, INDEX_MANIFEST_FILE};
+pub use database::{checkpoint_checksum, Database, LoadOptions, LoadReport, INDEX_MANIFEST_FILE};
 pub use error::DbError;
 pub use journal::{
     prefix_crc, read_journal, read_journal_from, JournalCursor, JournalOp, JournalReplay,
